@@ -293,7 +293,7 @@ func BenchmarkServeCached(b *testing.B) {
 	srv := serve.New(serve.Options{CacheSize: 2, Timeout: 5 * time.Minute})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	url := ts.URL + "/v1/study/1/export.json"
+	url := ts.URL + "/v1/seeds/1/artifacts/export.json"
 
 	request := func() time.Duration {
 		start := time.Now()

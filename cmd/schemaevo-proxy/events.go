@@ -10,12 +10,12 @@ import (
 	"strings"
 	"sync"
 
-	"github.com/schemaevo/schemaevo/internal/ingest"
+	"github.com/schemaevo/schemaevo/internal/serve"
 )
 
 // This file fans the SSE live-telemetry surface across the fleet.
 //
-//	GET /v1/seeds/{seed}/events      relayed to the seed's ring owner; on a
+//	GET /v1/seeds/{id}/events        relayed to the seed's ring owner; on a
 //	                                 mid-stream transport failure the proxy
 //	                                 fails over to the ring successor and
 //	                                 resumes via Last-Event-ID, so the
@@ -28,14 +28,6 @@ import (
 // Every relayed event gets shard provenance injected into its JSON payload
 // (a leading "shard" field naming the backend URL), because a failover or a
 // merge means one client stream can interleave several backends.
-
-// isEventStreamPath mirrors the daemon's SSE route test; these paths are
-// exempt from the proxy's end-to-end deadline.
-func isEventStreamPath(path string) bool {
-	return path == "/v1/debug/events" ||
-		(strings.HasPrefix(path, "/v1/seeds/") && strings.HasSuffix(path, "/events")) ||
-		(strings.HasPrefix(path, "/v1/histories/") && strings.HasSuffix(path, "/events"))
-}
 
 // sseFrame is one parsed Server-Sent-Events frame as relayed: the raw lines
 // (without the terminating blank), plus the fields the proxy routes on.
@@ -124,52 +116,25 @@ func (p *Proxy) openEventStream(ctx context.Context, backend, uri, lastID string
 	return resp, nil
 }
 
-// handleSeedEvents relays one seed's live stage stream from its ring owner,
-// failing over along the ring preference order when a shard dies mid-run.
-// The watcher keeps its single connection to the proxy the whole time; the
-// per-event `shard` field and the resumed sequence numbers are the only
-// traces of a failover.
-func (p *Proxy) handleSeedEvents(w http.ResponseWriter, r *http.Request) {
-	seed, err := strconv.ParseInt(r.PathValue("seed"), 10, 64)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("seed must be an integer, got %q", r.PathValue("seed")), 0)
-		return
-	}
-	p.relayEventStream(w, r, seed, "seed", strconv.FormatInt(seed, 10))
-}
-
-// handleHistoryEvents is the same relay for an ingest run's stage stream,
-// keyed by the history's content address.
-func (p *Proxy) handleHistoryEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !ingest.ValidID(id) {
-		writeHistoryError(w, http.StatusBadRequest,
-			"history ids are 64 hex characters (the upload's content address)", id)
-		return
-	}
-	p.relayEventStream(w, r, ingest.Key(id), "history", id)
-}
-
-// relayEventStream relays one resource's live SSE stream from the ring
-// owner of key, failing over along the ring preference order mid-stream.
-func (p *Proxy) relayEventStream(w http.ResponseWriter, r *http.Request, key int64, resource, id string) {
-	seed := int64(0)
-	if resource == "seed" {
-		seed = key
-	}
+// relayEventStream relays one resource's live stage stream from the ring
+// owner of key, failing over along the ring preference order when a shard
+// dies mid-run. The watcher keeps its single connection to the proxy the
+// whole time; the per-event `shard` field and the resumed sequence numbers
+// are the only traces of a failover.
+func (p *Proxy) relayEventStream(w http.ResponseWriter, r *http.Request, key int64, ref serve.ErrEnvelope) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		keyedError(w, http.StatusInternalServerError, "response writer does not support streaming", resource, id, seed)
+		ref.Write(w, http.StatusInternalServerError, "response writer does not support streaming")
 		return
 	}
 	targets, owner := p.liveTargets(key)
 	if owner == "" {
-		keyedError(w, http.StatusServiceUnavailable, "ring is empty — no backends configured", resource, id, seed)
+		ref.Write(w, http.StatusServiceUnavailable, "ring is empty — no backends configured")
 		return
 	}
 	if len(targets) == 0 {
-		keyedError(w, http.StatusServiceUnavailable,
-			fmt.Sprintf("no live backend for %s — every shard is down", resource), resource, id, seed)
+		ref.Write(w, http.StatusServiceUnavailable,
+			fmt.Sprintf("no live backend for %s — every shard is down", ref.Resource))
 		return
 	}
 	if targets[0] != owner {
@@ -244,7 +209,7 @@ func (p *Proxy) relayEventStream(w http.ResponseWriter, r *http.Request, key int
 		if lastErr == nil {
 			lastErr = fmt.Errorf("no backend answered")
 		}
-		keyedError(w, http.StatusBadGateway, fmt.Sprintf("all shards failed: %v", lastErr), resource, id, seed)
+		ref.Write(w, http.StatusBadGateway, fmt.Sprintf("all shards failed: %v", lastErr))
 		return
 	}
 	// Committed but every shard died mid-run: tell the watcher the stream
@@ -268,8 +233,10 @@ func (p *Proxy) relayFrames(w io.Writer, fl http.Flusher, resp *http.Response, b
 		if f.id != "" {
 			lastID = f.id
 		}
-		writeFrame(w, fl, injectShard(f, backend))
+		// Count before the write: a client that has read the frame must
+		// find it counted.
 		p.metrics.eventsRelayed.Add(1)
+		writeFrame(w, fl, injectShard(f, backend))
 		if f.event == "result" {
 			return true, lastID
 		}
@@ -283,7 +250,7 @@ func (p *Proxy) relayFrames(w io.Writer, fl http.Flusher, resp *http.Response, b
 func (p *Proxy) handleFirehose(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, "response writer does not support streaming", 0)
+		serve.ErrEnvelope{}.Write(w, http.StatusInternalServerError, "response writer does not support streaming")
 		return
 	}
 	var members []string
@@ -293,7 +260,7 @@ func (p *Proxy) handleFirehose(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(members) == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no live backend", 0)
+		serve.ErrEnvelope{}.Write(w, http.StatusServiceUnavailable, "no live backend")
 		return
 	}
 

@@ -69,8 +69,8 @@ func TestIsEventStreamPath(t *testing.T) {
 		"/v1/seeds/1/events/extra":   false,
 		"/v1/seeds/99/nested/events": true, // suffix rule is deliberately loose
 	} {
-		if got := isEventStreamPath(path); got != want {
-			t.Errorf("isEventStreamPath(%q) = %v, want %v", path, got, want)
+		if got := serve.IsEventStreamPath(path); got != want {
+			t.Errorf("serve.IsEventStreamPath(%q) = %v, want %v", path, got, want)
 		}
 	}
 }

@@ -2,21 +2,18 @@ package main
 
 import (
 	"bytes"
-	"encoding/base64"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
-	"strconv"
 	"strings"
 
 	"github.com/schemaevo/schemaevo/internal/ingest"
+	"github.com/schemaevo/schemaevo/internal/serve"
 )
 
 // This file is the proxy's ingest surface: POST /v1/histories forwarded to
-// the content address's ring owner, and the fleet-wide history listing.
+// the content address's ring owner.
 //
 // Uploads are content-addressed, so the proxy can compute the routing key
 // itself: it normalizes the body exactly like a backend would
@@ -29,14 +26,15 @@ import (
 // handleIngest forwards one history upload to the ring owner of its content
 // address.
 func (p *Proxy) handleIngest(w http.ResponseWriter, r *http.Request) {
+	ref := serve.Histories.Ref("")
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, p.opts.MaxUploadBytes))
 	if err != nil {
 		if _, ok := err.(*http.MaxBytesError); ok {
-			writeHistoryError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("upload exceeds the %d-byte limit", p.opts.MaxUploadBytes), "")
+			ref.Write(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("upload exceeds the %d-byte limit", p.opts.MaxUploadBytes))
 			return
 		}
-		writeHistoryError(w, http.StatusBadRequest, err.Error(), "")
+		ref.Write(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
@@ -45,16 +43,15 @@ func (p *Proxy) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// media type, rejected here) is forwarded to the first live shard so the
 	// backend produces the authoritative error envelope.
 	var targets []string
-	var id string
 	up, err := ingest.Prepare(r.Header.Get("Content-Type"), body)
 	switch {
 	case err == nil:
-		id = up.ID
+		ref = serve.Histories.Ref(up.ID)
 		targets, _ = p.liveTargets(up.Key())
 	case errors.Is(err, ingest.ErrUnsupportedMedia):
-		writeHistoryError(w, http.StatusUnsupportedMediaType,
+		ref.Write(w, http.StatusUnsupportedMediaType,
 			fmt.Sprintf("unsupported content type %q; supported: %s",
-				r.Header.Get("Content-Type"), strings.Join(ingest.SupportedMediaTypes(), ", ")), "")
+				r.Header.Get("Content-Type"), strings.Join(ingest.SupportedMediaTypes(), ", ")))
 		return
 	default:
 		for _, m := range p.table.Ring().Members() {
@@ -65,7 +62,7 @@ func (p *Proxy) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(targets) == 0 {
-		writeHistoryError(w, http.StatusServiceUnavailable, "no live backend", id)
+		ref.Write(w, http.StatusServiceUnavailable, "no live backend")
 		return
 	}
 
@@ -80,7 +77,7 @@ func (p *Proxy) handleIngest(w http.ResponseWriter, r *http.Request) {
 		req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
 			backend+r.URL.RequestURI(), bytes.NewReader(body))
 		if err != nil {
-			writeHistoryError(w, http.StatusInternalServerError, err.Error(), id)
+			ref.Write(w, http.StatusInternalServerError, err.Error())
 			return
 		}
 		copyRequestHeaders(req.Header, r.Header)
@@ -107,124 +104,5 @@ func (p *Proxy) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if lastErr == nil {
 		lastErr = fmt.Errorf("no backend answered")
 	}
-	writeHistoryError(w, http.StatusBadGateway, fmt.Sprintf("all shards failed: %v", lastErr), id)
-}
-
-// historiesBody mirrors schemaevod's unpaginated /v1/histories response.
-type historiesBody struct {
-	Cached []string `json:"cached"`
-	Stored []string `json:"stored"`
-}
-
-// handleHistories aggregates /v1/histories across the fleet: the union of
-// cached and stored history ids plus the per-shard view. With ?limit= or
-// ?cursor= the merged union is paginated proxy-side, using the same opaque
-// cursor scheme as the backends — the proxy always fans out unpaginated,
-// because per-shard pages cannot be merged.
-func (p *Proxy) handleHistories(w http.ResponseWriter, r *http.Request) {
-	limit, cursor, paged, err := parseProxyPage(r)
-	if err != nil {
-		writeHistoryError(w, http.StatusBadRequest, err.Error(), "")
-		return
-	}
-	bodies := p.fanOut(r.Context(), "/v1/histories")
-	cached := map[string]bool{}
-	stored := map[string]bool{}
-	shards := map[string]historiesBody{}
-	for backend, raw := range bodies {
-		var b historiesBody
-		if err := json.Unmarshal(raw, &b); err != nil {
-			continue
-		}
-		shards[backend] = b
-		for _, id := range b.Cached {
-			cached[id] = true
-		}
-		for _, id := range b.Stored {
-			stored[id] = true
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if !paged {
-		json.NewEncoder(w).Encode(map[string]any{
-			"cached": sortedIDs(cached),
-			"stored": sortedIDs(stored),
-			"shards": shards,
-		})
-		return
-	}
-	union := map[string]bool{}
-	for id := range cached {
-		union[id] = true
-	}
-	for id := range stored {
-		union[id] = true
-	}
-	all := sortedIDs(union)
-	start := 0
-	if cursor != "" {
-		start = sort.SearchStrings(all, cursor)
-		if start < len(all) && all[start] == cursor {
-			start++ // resume strictly after the cursor's item
-		}
-	}
-	end := start + limit
-	if end > len(all) {
-		end = len(all)
-	}
-	next := ""
-	if end < len(all) && end > start {
-		next = encodeProxyCursor(all[end-1])
-	}
-	json.NewEncoder(w).Encode(map[string]any{
-		"histories":   all[start:end],
-		"next_cursor": next,
-	})
-}
-
-func sortedIDs(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// proxyCursorPrefix matches the backends' cursor payload version, so a
-// cursor minted by a shard resumes correctly at the proxy and vice versa.
-const proxyCursorPrefix = "v1:"
-
-func parseProxyPage(r *http.Request) (limit int, cursor string, paged bool, err error) {
-	q := r.URL.Query()
-	rawLimit, rawCursor := q.Get("limit"), q.Get("cursor")
-	if rawLimit == "" && rawCursor == "" {
-		return 0, "", false, nil
-	}
-	limit = 100
-	if rawLimit != "" {
-		limit, err = strconv.Atoi(rawLimit)
-		if err != nil || limit <= 0 {
-			return 0, "", false, fmt.Errorf("limit must be a positive integer, got %q", rawLimit)
-		}
-	}
-	if rawCursor != "" {
-		cursor, err = decodeProxyCursor(rawCursor)
-		if err != nil {
-			return 0, "", false, err
-		}
-	}
-	return limit, cursor, true, nil
-}
-
-func encodeProxyCursor(last string) string {
-	return base64.RawURLEncoding.EncodeToString([]byte(proxyCursorPrefix + last))
-}
-
-func decodeProxyCursor(raw string) (string, error) {
-	b, err := base64.RawURLEncoding.DecodeString(raw)
-	if err != nil || !strings.HasPrefix(string(b), proxyCursorPrefix) {
-		return "", fmt.Errorf("malformed cursor %q", raw)
-	}
-	return strings.TrimPrefix(string(b), proxyCursorPrefix), nil
+	ref.Write(w, http.StatusBadGateway, fmt.Sprintf("all shards failed: %v", lastErr))
 }

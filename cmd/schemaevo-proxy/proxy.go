@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,21 +10,18 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"github.com/schemaevo/schemaevo/internal/ingest"
 	"github.com/schemaevo/schemaevo/internal/obs"
 	"github.com/schemaevo/schemaevo/internal/serve"
 	"github.com/schemaevo/schemaevo/internal/shard"
 )
 
-// This file is the proxy's serving core: the seed-routed reverse-proxy path
-// with hedging, the fan-out endpoints (/v1/seeds, /v1/healthz,
-// /v1/debug/stats), and the membership admin surface. The binary's flag
+// This file is the proxy's serving core: the key-routed reverse-proxy path
+// with hedging, the fan-out endpoints (/v1/seeds, /v1/histories,
+// /v1/healthz, /v1/debug/stats), and the membership admin surface. The binary's flag
 // parsing and lifecycle live in main.go; the metrics in metrics.go.
 
 // proxyOptions configures a Proxy. The zero value is not useful — Backends
@@ -108,17 +106,11 @@ func newProxy(opts proxyOptions) (*Proxy, error) {
 	p.tracer = obs.NewTracer(obs.Options{Stages: p.stages})
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/seeds/{id}", p.handleRouted)
-	mux.HandleFunc("GET /v1/seeds/{seed}/artifacts/{key}", p.handleRouted)
-	mux.HandleFunc("GET /v1/seeds/{seed}/figures/{name}", p.handleRouted)
-	mux.HandleFunc("GET /v1/seeds/{seed}/events", p.handleSeedEvents)
+	mountKind(mux, p, serve.Seeds)
+	mux.HandleFunc("GET /v1/seeds/{id}/figures/{name}", keyed(serve.Seeds, p.handleRouted))
+	mountKind(mux, p, serve.Histories)
 	mux.HandleFunc("POST /v1/histories", p.handleIngest)
-	mux.HandleFunc("GET /v1/histories", p.handleHistories)
-	mux.HandleFunc("GET /v1/histories/{id}", p.handleHistoryRouted)
-	mux.HandleFunc("GET /v1/histories/{id}/artifacts/{key}", p.handleHistoryRouted)
-	mux.HandleFunc("GET /v1/histories/{id}/events", p.handleHistoryEvents)
 	mux.HandleFunc("GET /v1/debug/events", p.handleFirehose)
-	mux.HandleFunc("GET /v1/seeds", p.handleSeeds)
 	mux.HandleFunc("GET /v1/experiments", p.handleAnyBackend)
 	mux.HandleFunc("GET /v1/healthz", p.handleHealth)
 	mux.HandleFunc("GET /v1/metrics", p.handleMetrics)
@@ -162,25 +154,6 @@ func normalizeBackend(raw string) (string, error) {
 	return strings.TrimRight(b, "/"), nil
 }
 
-// statusRecorder captures the response code for the error counter.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-// Flush forwards to the wrapped writer so the SSE relay can stream through
-// the recorder.
-func (r *statusRecorder) Flush() {
-	if fl, ok := r.ResponseWriter.(http.Flusher); ok {
-		fl.Flush()
-	}
-}
-
 // ServeHTTP counts the request and applies the end-to-end deadline before
 // dispatching. Event-stream routes are exempt from the deadline — a live
 // relay runs as long as the watched pipeline (or, for the firehose, the
@@ -188,57 +161,41 @@ func (r *statusRecorder) Flush() {
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	p.metrics.requests.Add(1)
 	ctx := r.Context()
-	if !isEventStreamPath(r.URL.Path) {
+	if !serve.IsEventStreamPath(r.URL.Path) {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, p.opts.Timeout)
 		defer cancel()
 	}
-	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+	rec := &serve.StatusRecorder{ResponseWriter: w, Status: http.StatusOK}
 	p.mux.ServeHTTP(rec, r.WithContext(ctx))
-	if rec.status >= 400 {
+	if rec.Status >= 400 {
 		p.metrics.errors.Add(1)
 	}
 }
 
-// errEnvelope mirrors schemaevod's uniform /v1 error body, so clients see
-// one error shape whether the proxy or a backend answered: {error, code,
-// resource, id}, with the legacy seed field kept on seed routes.
-type errEnvelope struct {
-	Error    string `json:"error"`
-	Code     int    `json:"code"`
-	Resource string `json:"resource,omitempty"`
-	ID       string `json:"id,omitempty"`
-	Seed     int64  `json:"seed,omitempty"`
+// mountKind registers one resource kind's routes: keyed GETs and the event
+// stream go to the id's ring owner, the listing merges the whole fleet.
+func mountKind[K cmp.Ordered](mux *http.ServeMux, p *Proxy, kind serve.Kind[K]) {
+	base := "GET /v1/" + kind.Plural
+	mux.HandleFunc(base, listing(p, kind))
+	mux.HandleFunc(base+"/{id}", keyed(kind, p.handleRouted))
+	mux.HandleFunc(base+"/{id}/artifacts/{key}", keyed(kind, p.handleRouted))
+	mux.HandleFunc(base+"/{id}/events", keyed(kind, p.relayEventStream))
 }
 
-func writeError(w http.ResponseWriter, code int, msg string, seed int64) {
-	env := errEnvelope{Error: msg, Code: code, Seed: seed}
-	if seed != 0 {
-		env.Resource = "seed"
-		env.ID = strconv.FormatInt(seed, 10)
+// keyed adapts a handler of one resource's ring key to a kind's {id}
+// routes, answering 400 for a malformed id. The kind's Key picks the ring
+// owner, so a resource's requests land on the shard whose LRU holds it.
+func keyed[K cmp.Ordered](kind serve.Kind[K], h func(http.ResponseWriter, *http.Request, int64, serve.ErrEnvelope)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id, err := kind.Parse(r.PathValue("id"))
+		if err != nil {
+			var zero K
+			kind.Ref(zero).Write(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		h(w, r, kind.Key(id), kind.Ref(id))
 	}
-	writeEnvelope(w, env)
-}
-
-// writeHistoryError writes the envelope for a history-keyed failure.
-func writeHistoryError(w http.ResponseWriter, code int, msg, id string) {
-	writeEnvelope(w, errEnvelope{Error: msg, Code: code, Resource: "history", ID: id})
-}
-
-func writeEnvelope(w http.ResponseWriter, env errEnvelope) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(env.Code)
-	json.NewEncoder(w).Encode(env)
-}
-
-// keyedError dispatches a routing failure to the right envelope shape for
-// the resource kind.
-func keyedError(w http.ResponseWriter, code int, msg, resource, id string, seed int64) {
-	if resource == "history" {
-		writeHistoryError(w, code, msg, id)
-		return
-	}
-	writeError(w, code, msg, seed)
 }
 
 // liveTargets resolves a seed to its failover-ordered live backend list
@@ -257,62 +214,29 @@ func (p *Proxy) liveTargets(seed int64) (targets []string, owner string) {
 	return targets, owner
 }
 
-// handleRouted serves the seed-keyed routes: consistent-hash routing with
+// handleRouted serves the keyed routes: consistent-hash routing with
 // hedging, relaying the winning backend's response verbatim plus the
 // X-Schemaevo-Backend / X-Schemaevo-Hedged provenance headers.
-func (p *Proxy) handleRouted(w http.ResponseWriter, r *http.Request) {
-	raw := r.PathValue("seed")
-	if raw == "" {
-		raw = r.PathValue("id")
-	}
-	seed, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("seed must be an integer, got %q", raw), 0)
-		return
-	}
-	ctx := obs.WithTracer(r.Context(), p.tracer)
-	p.relayRouted(ctx, w, r, seed)
-}
-
-// handleHistoryRouted serves the history-keyed GET routes: the content
-// address's 64-bit truncation picks the ring owner, so a history's requests
-// land on the shard whose LRU already holds its result.
-func (p *Proxy) handleHistoryRouted(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !ingest.ValidID(id) {
-		writeHistoryError(w, http.StatusBadRequest,
-			"history ids are 64 hex characters (the upload's content address)", id)
-		return
-	}
-	ctx := obs.WithTracer(r.Context(), p.tracer)
-	p.relayKeyed(ctx, w, r, ingest.Key(id), "history", id)
-}
-
-// relayRouted is relayKeyed for the seed-keyed routes.
-func (p *Proxy) relayRouted(ctx context.Context, w http.ResponseWriter, r *http.Request, seed int64) {
-	p.relayKeyed(ctx, w, r, seed, "seed", strconv.FormatInt(seed, 10))
+func (p *Proxy) handleRouted(w http.ResponseWriter, r *http.Request, key int64, ref serve.ErrEnvelope) {
+	p.relayKeyed(obs.WithTracer(r.Context(), p.tracer), w, r, key, ref)
 }
 
 // relayKeyed performs one routed fetch-and-relay for a resource keyed into
 // the ring by key, under whatever tracer ctx carries (the metrics-only
 // tracer normally; a collecting one for /v1/debug/trace).
-func (p *Proxy) relayKeyed(ctx context.Context, w http.ResponseWriter, r *http.Request, key int64, resource, id string) {
+func (p *Proxy) relayKeyed(ctx context.Context, w http.ResponseWriter, r *http.Request, key int64, ref serve.ErrEnvelope) {
 	ctx, span := obs.Start(ctx, "proxy.route",
-		obs.Int("seed", key), obs.String("resource", resource))
+		obs.Int("seed", key), obs.String("resource", ref.Resource))
 	defer span.End()
-	seed := int64(0)
-	if resource == "seed" {
-		seed = key
-	}
 
 	targets, owner := p.liveTargets(key)
 	if owner == "" {
-		keyedError(w, http.StatusServiceUnavailable, "ring is empty — no backends configured", resource, id, seed)
+		ref.Write(w, http.StatusServiceUnavailable, "ring is empty — no backends configured")
 		return
 	}
 	if len(targets) == 0 {
-		keyedError(w, http.StatusServiceUnavailable,
-			fmt.Sprintf("no live backend for %s — every shard is down", resource), resource, id, seed)
+		ref.Write(w, http.StatusServiceUnavailable,
+			fmt.Sprintf("no live backend for %s — every shard is down", ref.Resource))
 		return
 	}
 	if targets[0] != owner {
@@ -324,7 +248,7 @@ func (p *Proxy) relayKeyed(ctx context.Context, w http.ResponseWriter, r *http.R
 	resp, backend, hedged, done, err := p.fetchHedged(ctx, r, targets)
 	if err != nil {
 		span.SetAttr(obs.String("error", err.Error()))
-		keyedError(w, http.StatusBadGateway, fmt.Sprintf("all shards failed: %v", err), resource, id, seed)
+		ref.Write(w, http.StatusBadGateway, fmt.Sprintf("all shards failed: %v", err))
 		return
 	}
 	defer done()
@@ -484,12 +408,12 @@ func (p *Proxy) handleAnyBackend(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if target == "" {
-		writeError(w, http.StatusServiceUnavailable, "no live backend", 0)
+		serve.ErrEnvelope{}.Write(w, http.StatusServiceUnavailable, "no live backend")
 		return
 	}
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, target+r.URL.RequestURI(), nil)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error(), 0)
+		serve.ErrEnvelope{}.Write(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	copyRequestHeaders(req.Header, r.Header)
@@ -497,7 +421,7 @@ func (p *Proxy) handleAnyBackend(w http.ResponseWriter, r *http.Request) {
 	resp, err := p.client.Do(req)
 	if err != nil {
 		p.metrics.backendError(target)
-		writeError(w, http.StatusBadGateway, err.Error(), 0)
+		serve.ErrEnvelope{}.Write(w, http.StatusBadGateway, err.Error())
 		return
 	}
 	defer resp.Body.Close()
@@ -549,77 +473,47 @@ func (p *Proxy) fanOut(ctx context.Context, path string) map[string][]byte {
 	return out
 }
 
-// seedsBody mirrors schemaevod's /v1/seeds response.
-type seedsBody struct {
-	Cached []int64 `json:"cached"`
-	Stored []int64 `json:"stored"`
+// listBody is one backend's unpaginated listing.
+type listBody[K cmp.Ordered] struct {
+	Cached []K `json:"cached"`
+	Stored []K `json:"stored"`
 }
 
-// handleSeeds aggregates /v1/seeds across the fleet: the union of cached
-// and stored seeds plus the raw per-shard view. With ?limit= or ?cursor=
-// the merged union is paginated proxy-side (fan-out is always
-// unpaginated — per-shard pages cannot be merged), using the backends'
-// cursor scheme with numeric payloads.
-func (p *Proxy) handleSeeds(w http.ResponseWriter, r *http.Request) {
-	limit, cursor, paged, err := parseProxyPage(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), 0)
-		return
-	}
-	bodies := p.fanOut(r.Context(), "/v1/seeds")
-	cached := map[int64]bool{}
-	stored := map[int64]bool{}
-	shards := map[string]seedsBody{}
-	for backend, raw := range bodies {
-		var b seedsBody
-		if err := json.Unmarshal(raw, &b); err != nil {
-			continue
+// listing aggregates a kind's listing across the fleet: the union of cached
+// and stored ids plus the raw per-shard view. With ?limit= or ?cursor= the
+// merged union is paginated proxy-side with the backends' cursor scheme —
+// the fan-out is always unpaginated, because per-shard pages cannot be
+// merged.
+func listing[K cmp.Ordered](p *Proxy, kind serve.Kind[K]) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		pr, err := serve.ParsePage(r)
+		if err != nil {
+			var zero K
+			kind.Ref(zero).Write(w, http.StatusBadRequest, err.Error())
+			return
 		}
-		shards[backend] = b
-		for _, s := range b.Cached {
-			cached[s] = true
+		var cached, stored []K
+		shards := map[string]listBody[K]{}
+		for backend, raw := range p.fanOut(r.Context(), "/v1/"+kind.Plural) {
+			var b listBody[K]
+			if err := json.Unmarshal(raw, &b); err != nil {
+				continue
+			}
+			shards[backend] = b
+			cached, stored = append(cached, b.Cached...), append(stored, b.Stored...)
 		}
-		for _, s := range b.Stored {
-			stored[s] = true
+		w.Header().Set("Content-Type", "application/json")
+		if !pr.Paged {
+			json.NewEncoder(w).Encode(map[string]any{
+				"cached": serve.SortedUnion(cached),
+				"stored": serve.SortedUnion(stored),
+				"shards": shards,
+			})
+			return
 		}
+		page, next := kind.Page(serve.SortedUnion(cached, stored), pr)
+		json.NewEncoder(w).Encode(map[string]any{kind.Plural: page, "next_cursor": next})
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if !paged {
-		json.NewEncoder(w).Encode(map[string]any{
-			"cached": sortedKeys(cached),
-			"stored": sortedKeys(stored),
-			"shards": shards,
-		})
-		return
-	}
-	for s := range stored {
-		cached[s] = true
-	}
-	all := sortedKeys(cached)
-	start := 0
-	if after, err := strconv.ParseInt(cursor, 10, 64); cursor != "" && err == nil {
-		start = sort.Search(len(all), func(i int) bool { return all[i] > after })
-	}
-	end := start + limit
-	next := ""
-	if end >= len(all) {
-		end = len(all)
-	} else {
-		next = encodeProxyCursor(strconv.FormatInt(all[end-1], 10))
-	}
-	json.NewEncoder(w).Encode(map[string]any{
-		"seeds":       all[start:end],
-		"next_cursor": next,
-	})
-}
-
-func sortedKeys(set map[int64]bool) []int64 {
-	out := make([]int64, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // handleHealth is the shard-aware health view: per-shard up/down with the
@@ -674,29 +568,15 @@ func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.metrics.WriteTo(w, p.table, p.health, p.stages)
 }
 
-// statEntry mirrors serve.StatEntry for the cross-shard merge.
-type statEntry struct {
-	Count      int64   `json:"count"`
-	SumSeconds float64 `json:"sum_seconds"`
-	AvgSeconds float64 `json:"avg_seconds"`
-	P50Seconds float64 `json:"p50_seconds,omitempty"`
-	P99Seconds float64 `json:"p99_seconds,omitempty"`
-}
-
-type statsDoc struct {
-	Experiments map[string]statEntry `json:"experiments"`
-	Stages      map[string]statEntry `json:"stages"`
-}
-
 // handleStats aggregates /v1/debug/stats across the fleet: per-shard
 // documents, a merged fleet-wide view (counts and sums add; averages are
 // recomputed; quantiles don't merge and are omitted), and the proxy's own
 // routing/hedging stage histograms.
 func (p *Proxy) handleStats(w http.ResponseWriter, r *http.Request) {
 	bodies := p.fanOut(r.Context(), "/v1/debug/stats")
-	shards := map[string]statsDoc{}
-	merged := statsDoc{Experiments: map[string]statEntry{}, Stages: map[string]statEntry{}}
-	mergeInto := func(dst map[string]statEntry, src map[string]statEntry) {
+	shards := map[string]serve.StatsDocument{}
+	merged := serve.StatsDocument{Experiments: map[string]serve.StatEntry{}, Stages: map[string]serve.StatEntry{}}
+	mergeInto := func(dst, src map[string]serve.StatEntry) {
 		for k, e := range src {
 			cur := dst[k]
 			cur.Count += e.Count
@@ -708,7 +588,7 @@ func (p *Proxy) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	for backend, raw := range bodies {
-		var doc statsDoc
+		var doc serve.StatsDocument
 		if err := json.Unmarshal(raw, &doc); err != nil {
 			continue
 		}
@@ -716,22 +596,11 @@ func (p *Proxy) handleStats(w http.ResponseWriter, r *http.Request) {
 		mergeInto(merged.Experiments, doc.Experiments)
 		mergeInto(merged.Stages, doc.Stages)
 	}
-	proxyStages := map[string]statEntry{}
-	for _, st := range p.stages.Snapshot() {
-		if st.Count == 0 {
-			continue
-		}
-		proxyStages[st.Name] = statEntry{
-			Count:      st.Count,
-			SumSeconds: st.Sum.Seconds(),
-			AvgSeconds: st.Avg().Seconds(),
-		}
-	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{
 		"merged": merged,
 		"shards": shards,
-		"proxy":  map[string]any{"stages": proxyStages},
+		"proxy":  map[string]any{"stages": serve.StageStats(p.stages)},
 	})
 }
 
@@ -743,18 +612,17 @@ func (p *Proxy) handleStats(w http.ResponseWriter, r *http.Request) {
 func (p *Proxy) handleTrace(w http.ResponseWriter, r *http.Request) {
 	seed := int64(1)
 	if q := r.URL.Query().Get("seed"); q != "" {
-		parsed, err := strconv.ParseInt(q, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("seed must be an integer, got %q", q), 0)
+		var err error
+		if seed, err = serve.Seeds.Parse(q); err != nil {
+			serve.ErrEnvelope{}.Write(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		seed = parsed
 	}
 	tr := obs.NewTracer(obs.Options{Collect: true, MaxSpans: p.opts.TraceMaxSpans, Stages: p.stages})
 	ctx := obs.WithTracer(r.Context(), tr)
 
 	rec := newBufferedResponse()
-	p.relayRouted(ctx, rec, r, seed)
+	p.relayKeyed(ctx, rec, r, seed, serve.Seeds.Ref(seed))
 	if rec.status != http.StatusOK {
 		// Pass the failure through untouched (it is already an envelope).
 		copyBuffered(w, rec)
@@ -860,12 +728,12 @@ type adminRequest struct {
 func (p *Proxy) handleAdmin(w http.ResponseWriter, r *http.Request) {
 	var req adminRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "body must be JSON {op, url}", 0)
+		serve.ErrEnvelope{}.Write(w, http.StatusBadRequest, "body must be JSON {op, url}")
 		return
 	}
 	backend, err := normalizeBackend(req.URL)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), 0)
+		serve.ErrEnvelope{}.Write(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	var changed bool
@@ -877,7 +745,7 @@ func (p *Proxy) handleAdmin(w http.ResponseWriter, r *http.Request) {
 		changed = p.table.Remove(backend)
 		p.health.Untrack(backend)
 	default:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("op must be add or remove, got %q", req.Op), 0)
+		serve.ErrEnvelope{}.Write(w, http.StatusBadRequest, fmt.Sprintf("op must be add or remove, got %q", req.Op))
 		return
 	}
 	cur := p.table.Current()

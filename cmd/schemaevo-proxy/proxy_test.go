@@ -217,7 +217,7 @@ func TestProxyErrorEnvelope(t *testing.T) {
 	p, ts := newTestProxy(t, 0, b.URL)
 
 	code, body, _ := get(t, ts, "/v1/seeds/notanumber/artifacts/funnel")
-	var env errEnvelope
+	var env serve.ErrEnvelope
 	if err := json.Unmarshal([]byte(body), &env); err != nil || code != http.StatusBadRequest || env.Code != http.StatusBadRequest {
 		t.Errorf("bad seed: status %d, body %q", code, body)
 	}
@@ -329,10 +329,10 @@ func TestProxyStatsMerge(t *testing.T) {
 		t.Fatalf("status %d: %s", code, body)
 	}
 	var doc struct {
-		Merged statsDoc            `json:"merged"`
-		Shards map[string]statsDoc `json:"shards"`
+		Merged serve.StatsDocument            `json:"merged"`
+		Shards map[string]serve.StatsDocument `json:"shards"`
 		Proxy  struct {
-			Stages map[string]statEntry `json:"stages"`
+			Stages map[string]serve.StatEntry `json:"stages"`
 		} `json:"proxy"`
 	}
 	if err := json.Unmarshal([]byte(body), &doc); err != nil {

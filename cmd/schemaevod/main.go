@@ -56,10 +56,9 @@
 //	GET  /v1/debug/scrub                      on-demand store integrity scrub
 //	GET  /debug/pprof/                        stdlib pprof profiles
 //
-// The pre-/v1 flat routes (/healthz, /metrics, /debug/trace,
-// /v1/study/{seed}/...) remain as deprecated aliases: identical behaviour
-// plus a Deprecation header; hits count into
-// schemaevod_legacy_requests_total.
+// There are no other routes: the pre-/v1 aliases (/healthz, /metrics,
+// /debug/trace, /v1/study/{seed}/...) were removed after their announced
+// deprecation date and answer 404.
 //
 // The daemon logs structured lines (log/slog) to stderr and drains
 // gracefully on SIGINT/SIGTERM, flushing pending snapshot saves before

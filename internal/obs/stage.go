@@ -5,33 +5,14 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // stageBuckets are the histogram upper bounds in seconds. Pipeline stages
 // span five orders of magnitude: per-project parse/diff work lands in the
 // sub-millisecond buckets, whole-corpus stages in the multi-second ones.
-var stageBuckets = [numStageBuckets]float64{
+var stageBuckets = []float64{
 	.0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10,
-}
-
-const numStageBuckets = 14
-
-// stageHist is a fixed-bucket cumulative histogram plus a run counter —
-// lock-free on the observe path.
-type stageHist struct {
-	counts [numStageBuckets + 1]atomic.Int64 // +1 for +Inf
-	sum    atomic.Int64                      // nanoseconds
-	total  atomic.Int64
-}
-
-func (h *stageHist) observe(d time.Duration) {
-	secs := d.Seconds()
-	i := sort.SearchFloat64s(stageBuckets[:], secs)
-	h.counts[i].Add(1)
-	h.sum.Add(int64(d))
-	h.total.Add(1)
 }
 
 // StageRegistry accumulates per-stage duration histograms across pipeline
@@ -39,12 +20,12 @@ func (h *stageHist) observe(d time.Duration) {
 // exposition; tests build private registries.
 type StageRegistry struct {
 	mu     sync.RWMutex
-	stages map[string]*stageHist
+	stages map[string]*Histogram
 }
 
 // NewStageRegistry returns an empty registry.
 func NewStageRegistry() *StageRegistry {
-	return &StageRegistry{stages: map[string]*stageHist{}}
+	return &StageRegistry{stages: map[string]*Histogram{}}
 }
 
 // defaultStages is the process-wide registry every metrics-only tracer
@@ -62,12 +43,12 @@ func (r *StageRegistry) Observe(stage string, d time.Duration) {
 	if h == nil {
 		r.mu.Lock()
 		if h = r.stages[stage]; h == nil {
-			h = &stageHist{}
+			h = NewHistogram(stageBuckets)
 			r.stages[stage] = h
 		}
 		r.mu.Unlock()
 	}
-	h.observe(d)
+	h.Observe(d)
 }
 
 // StageSnapshot is one stage's accumulated state.
@@ -92,8 +73,8 @@ func (r *StageRegistry) Snapshot() []StageSnapshot {
 	for name, h := range r.stages {
 		out = append(out, StageSnapshot{
 			Name:  name,
-			Count: h.total.Load(),
-			Sum:   time.Duration(h.sum.Load()),
+			Count: h.Count(),
+			Sum:   h.Sum(),
 		})
 	}
 	r.mu.RUnlock()
@@ -112,7 +93,7 @@ func (r *StageRegistry) WritePrometheus(w io.Writer) (int64, error) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	hists := make([]*stageHist, len(names))
+	hists := make([]*Histogram, len(names))
 	for i, name := range names {
 		hists[i] = r.stages[name]
 	}
@@ -130,22 +111,8 @@ func (r *StageRegistry) WritePrometheus(w io.Writer) (int64, error) {
 		return n, err
 	}
 	for i, name := range names {
-		h := hists[i]
-		var cum int64
-		for bi, ub := range stageBuckets {
-			cum += h.counts[bi].Load()
-			written, err := fmt.Fprintf(w, "schemaevo_stage_duration_seconds_bucket{stage=%q,le=%q} %d\n",
-				name, fmt.Sprintf("%g", ub), cum)
-			n += int64(written)
-			if err != nil {
-				return n, err
-			}
-		}
-		cum += h.counts[numStageBuckets].Load()
-		written, err := fmt.Fprintf(w,
-			"schemaevo_stage_duration_seconds_bucket{stage=%q,le=\"+Inf\"} %d\nschemaevo_stage_duration_seconds_sum{stage=%q} %g\nschemaevo_stage_duration_seconds_count{stage=%q} %d\n",
-			name, cum, name, time.Duration(h.sum.Load()).Seconds(), name, h.total.Load())
-		n += int64(written)
+		written, err := hists[i].WritePrometheus(w, "schemaevo_stage_duration_seconds", fmt.Sprintf("stage=%q", name))
+		n += written
 		if err != nil {
 			return n, err
 		}
@@ -158,7 +125,7 @@ func (r *StageRegistry) WritePrometheus(w io.Writer) (int64, error) {
 		return n, err
 	}
 	for i, name := range names {
-		written, err := fmt.Fprintf(w, "schemaevo_stage_runs_total{stage=%q} %d\n", name, hists[i].total.Load())
+		written, err := fmt.Fprintf(w, "schemaevo_stage_runs_total{stage=%q} %d\n", name, hists[i].Count())
 		n += int64(written)
 		if err != nil {
 			return n, err

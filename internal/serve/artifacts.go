@@ -7,14 +7,17 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"time"
 
 	"github.com/schemaevo/schemaevo/internal/obs"
+	"github.com/schemaevo/schemaevo/internal/store"
 	"github.com/schemaevo/schemaevo/internal/study"
 )
 
-// This file is the artifact layer: one namespace of artifact keys shared by
-// the HTTP handlers, the per-(seed, artifact) memo in the LRU, and the
-// persistent store's snapshots. Keys are the experiment selector keys, the
+// This file is what the seed kind adds to the unified resource model: one
+// namespace of artifact keys shared by the HTTP handlers, the per-(seed,
+// artifact) memo in the LRU, and the persistent store's snapshots, rendered
+// lazily from a live study. Keys are the experiment selector keys, the
 // three whole-study exports, and "figures/<name>.svg" for the SVG figures.
 
 // Reserved artifact keys beyond the experiment registry.
@@ -102,107 +105,130 @@ func renderAll(ctx context.Context, st *study.Study) (map[string][]byte, error) 
 	return out, nil
 }
 
-// artifactBytes resolves one (seed, artifact) to rendered bytes through the
-// full read path: memo hit → store snapshot restore → live study render
-// (cache / singleflight / pipeline). Rendering memoizes, so each artifact is
-// produced at most once per cached entry.
-func (s *Server) artifactBytes(ctx context.Context, seed int64, key string) ([]byte, error) {
-	if b, ok := s.cache.GetArtifact(seed, key); ok {
-		// A memo hit is a cache hit: hits + misses stays balanced with the
-		// request count even when getStudy is skipped entirely.
-		s.metrics.cacheHits.Add(1)
-		s.metrics.memoHits.Add(1)
-		return b, nil
+// newSeeds builds the seed kind over the seed store.
+func newSeeds(s *Server) *resource[int64, *study.Study] {
+	r := newResource[int64, *study.Study](s, Seeds, s.opts.Store)
+	r.start = s.runPipeline
+	r.snapshot = func(ctx context.Context, st *study.Study) (*store.Snapshot, error) {
+		arts, err := s.render(ctx, st)
+		if err != nil {
+			return nil, err
+		}
+		return &store.Snapshot{Summary: st.Summary(), Artifacts: arts}, nil
 	}
-	s.restoreSnapshot(ctx, seed)
-	if b, ok := s.cache.GetArtifact(seed, key); ok {
-		s.metrics.cacheMisses.Add(1) // the LRU missed; the store answered
-		return b, nil
-	}
-	st, err := s.getStudy(ctx, seed)
-	if err != nil {
-		return nil, err
-	}
-	// Rendering traces into the server's metrics-only tracer, so warm-cache
-	// requests still feed the experiment.<key> stage histograms.
-	rctx := obs.WithTracer(ctx, s.tracer)
-	b, err := renderArtifact(rctx, st, key)
-	if err != nil {
-		return nil, err
-	}
-	s.cache.PutArtifact(seed, key, b)
-	return b, nil
+	r.storedIDs = func(ctx context.Context) ([]int64, error) { return r.store.List(ctx) }
+	r.describe = func(seed int64, desc map[string]any) { desc["seed"] = seed }
+	return r
 }
 
-// serveStreamedArtifact is the chunked counterpart of artifactBytes for the
-// big whole-study payloads (export.csv, report.html): memo and snapshot hits
-// serve the cached bytes, but a live render streams to the client as it is
-// produced — row by row for CSV, template chunk by template chunk for HTML —
-// teeing into a buffer that seeds the memo afterwards. The client sees first
-// bytes while the render is still running, and the server never holds more
-// than one materialised copy. Bytes are identical to the buffered path.
-func (s *Server) serveStreamedArtifact(ctx context.Context, w http.ResponseWriter, jsonErr bool, seed int64, key string) {
-	if b, ok := s.cache.GetArtifact(seed, key); ok {
-		s.metrics.cacheHits.Add(1)
-		s.metrics.memoHits.Add(1)
-		w.Header().Set("Content-Type", contentTypeFor(key))
-		w.Write(b)
+// handleArtifact serves one whole-study artifact — the three exports or any
+// experiment key — through the read path: memo hit → store snapshot
+// restore → live study render (cache / singleflight / pipeline).
+func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
+	seed, ok := s.seeds.parse(w, r)
+	if !ok {
 		return
 	}
-	s.restoreSnapshot(ctx, seed)
-	if b, ok := s.cache.GetArtifact(seed, key); ok {
-		s.metrics.cacheMisses.Add(1)
-		w.Header().Set("Content-Type", contentTypeFor(key))
-		w.Write(b)
+	key := r.PathValue("key")
+	if !knownArtifact(key) {
+		Seeds.Ref(seed).Write(w, http.StatusNotFound,
+			fmt.Sprintf("unknown artifact %q; experiment keys are listed at /v1/experiments", key))
 		return
 	}
-	st, err := s.getStudy(ctx, seed)
+	start := time.Now()
+	if b, ok := s.seeds.lookup(r.Context(), seed, key); ok {
+		w.Header().Set("Content-Type", contentTypeFor(key))
+		w.Write(b)
+	} else if err := s.renderTo(r.Context(), w, seed, key); err != nil {
+		failRun(w, Seeds.Ref(seed), err)
+		return
+	}
+	s.metrics.ObserveLatency(key, time.Since(start))
+}
+
+// renderTo answers a memo miss: it renders key from the seed's live study
+// into the memo and the response. Rendering memoizes, so each artifact is
+// produced at most once per cached entry, and it traces into the server's
+// metrics-only tracer, so warm-cache requests still feed the
+// experiment.<key> stage histograms. The big whole-study payloads
+// (export.csv, report.html) stream to the client as they are produced — row
+// by row for CSV, template chunk by template chunk for HTML — teeing into
+// the memo copy, so the client sees first bytes while the render is still
+// running. Bytes are identical either way.
+func (s *Server) renderTo(ctx context.Context, w http.ResponseWriter, seed int64, key string) error {
+	st, _, err := s.seeds.run(ctx, seed, s.runPipeline)
 	if err != nil {
-		failErr(w, jsonErr, seed, err)
-		return
+		return err
 	}
 	rctx := obs.WithTracer(ctx, s.tracer)
+	if !streamableArtifact(key) {
+		b, err := renderArtifact(rctx, st, key)
+		if err != nil {
+			return err
+		}
+		s.seeds.cache.PutArtifact(seed, key, b)
+		w.Header().Set("Content-Type", contentTypeFor(key))
+		w.Write(b)
+		return nil
+	}
 	var buf bytes.Buffer
 	mw := io.MultiWriter(&buf, w)
 	w.Header().Set("Content-Type", contentTypeFor(key))
-	switch key {
-	case artifactCSV:
+	if key == artifactCSV {
 		err = st.WriteCSV(mw)
-	case artifactHTML:
+	} else {
 		err = st.WriteHTMLReport(rctx, mw)
-	default:
-		err = fmt.Errorf("artifact %q has no streaming renderer", key)
 	}
 	if err != nil {
 		// Status and some bytes are already on the wire: the response is
 		// truncated, which the client sees as a short read. Don't memoize.
 		s.opts.Logger.Error("streamed render failed", "seed", seed, "artifact", key, "err", err)
-		return
+		return nil
 	}
-	s.cache.PutArtifact(seed, key, buf.Bytes())
+	s.seeds.cache.PutArtifact(seed, key, buf.Bytes())
+	return nil
 }
 
-// figureBytes is artifactBytes for the figure namespace: figures render as
-// a complete set, so a miss renders and memoizes every figure at once.
-// The bool reports whether the figure name exists at all.
+// handleFigure serves one SVG figure. Figures render as a complete set, so
+// a miss renders and memoizes every figure at once.
+func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
+	seed, ok := s.seeds.parse(w, r)
+	if !ok {
+		return
+	}
+	name := r.PathValue("name")
+	if !strings.HasSuffix(name, ".svg") {
+		Seeds.Ref(seed).Write(w, http.StatusNotFound, "figure names end in .svg")
+		return
+	}
+	start := time.Now()
+	svg, ok, err := s.figureBytes(r.Context(), seed, name)
+	if err != nil {
+		failRun(w, Seeds.Ref(seed), err)
+		return
+	}
+	if !ok {
+		Seeds.Ref(seed).Write(w, http.StatusNotFound, fmt.Sprintf("unknown figure %q", name))
+		return
+	}
+	w.Header().Set("Content-Type", "image/svg+xml")
+	w.Write(svg)
+	s.metrics.ObserveLatency("figures", time.Since(start))
+}
+
+// figureBytes resolves one figure through the read path. The bool reports
+// whether the figure name exists at all.
 func (s *Server) figureBytes(ctx context.Context, seed int64, name string) ([]byte, bool, error) {
 	key := figurePrefix + name
-	if b, ok := s.cache.GetArtifact(seed, key); ok {
-		s.metrics.cacheHits.Add(1)
-		s.metrics.memoHits.Add(1)
-		return b, true, nil
-	}
-	s.restoreSnapshot(ctx, seed)
-	if b, ok := s.cache.GetArtifact(seed, key); ok {
-		s.metrics.cacheMisses.Add(1)
+	if b, ok := s.seeds.lookup(ctx, seed, key); ok {
 		return b, true, nil
 	}
 	// A restored snapshot carries the full figure set: a name missing there
 	// is unknown, and a pipeline run would not change that.
-	if s.cache.MissingStoredFigure(seed, key) {
+	if s.seeds.cache.MissingStoredFigure(seed, key) {
 		return nil, false, nil
 	}
-	st, err := s.getStudy(ctx, seed)
+	st, _, err := s.seeds.run(ctx, seed, s.runPipeline)
 	if err != nil {
 		return nil, false, err
 	}
@@ -211,7 +237,7 @@ func (s *Server) figureBytes(ctx context.Context, seed int64, name string) ([]by
 	for n, svg := range figs {
 		memo[figurePrefix+n] = []byte(svg)
 	}
-	s.cache.MergeArtifacts(seed, memo)
+	s.seeds.cache.MergeArtifacts(seed, memo)
 	svg, ok := figs[name]
 	return []byte(svg), ok, nil
 }

@@ -4,9 +4,6 @@ import (
 	"container/list"
 	"strings"
 	"sync"
-
-	"github.com/schemaevo/schemaevo/internal/ingest"
-	"github.com/schemaevo/schemaevo/internal/study"
 )
 
 // resourceCache is a bounded LRU keyed by int64 — the seed for studies, the
@@ -47,16 +44,6 @@ func newResourceCache[V any](capacity int, m *Metrics) *resourceCache[V] {
 		entries: map[int64]*list.Element{},
 		metrics: m,
 	}
-}
-
-// newStudyCache is the seed-keyed instantiation serving *study.Study values.
-func newStudyCache(capacity int, m *Metrics) *resourceCache[*study.Study] {
-	return newResourceCache[*study.Study](capacity, m)
-}
-
-// newHistoryCache is the history-keyed instantiation serving ingest results.
-func newHistoryCache(capacity int, m *Metrics) *resourceCache[*ingest.Result] {
-	return newResourceCache[*ingest.Result](capacity, m)
 }
 
 // Get returns the cached live value for key, refreshing its recency.
@@ -129,11 +116,12 @@ func (c *resourceCache[V]) PutArtifact(key int64, artifact string, b []byte) {
 func (c *resourceCache[V]) MergeArtifacts(key int64, arts map[string][]byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return
+	if el, ok := c.entries[key]; ok {
+		el.Value.(*cacheEntry[V]).merge(arts)
 	}
-	e := el.Value.(*cacheEntry[V])
+}
+
+func (e *cacheEntry[V]) merge(arts map[string][]byte) {
 	if e.artifacts == nil {
 		e.artifacts = make(map[string][]byte, len(arts))
 	}
@@ -144,60 +132,29 @@ func (c *resourceCache[V]) MergeArtifacts(key int64, arts map[string][]byte) {
 	}
 }
 
-// Artifacts returns a copy of the entry's artifact memo map, refreshing
-// recency. ok requires at least one memoized artifact — a value-only entry
-// whose artifacts were never rendered reports false.
-func (c *resourceCache[V]) Artifacts(key int64) (map[string][]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	e := el.Value.(*cacheEntry[V])
-	if len(e.artifacts) == 0 {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	out := make(map[string][]byte, len(e.artifacts))
-	for k, v := range e.artifacts {
-		out[k] = v
-	}
-	return out, true
-}
-
 // InstallSnapshot inserts a snapshot-only entry for a key restored from
 // the persistent store: all artifacts, no live value. It counts toward the
-// LRU bound like any pipeline result. If the key is already cached the
+// LRU bound like any run result. If the key is already cached the
 // snapshot's artifacts merge into it.
 func (c *resourceCache[V]) InstallSnapshot(key int64, arts map[string][]byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*cacheEntry[V])
-		if e.artifacts == nil {
-			e.artifacts = make(map[string][]byte, len(arts))
-		}
-		for k, v := range arts {
-			if _, dup := e.artifacts[k]; !dup {
-				e.artifacts[k] = v
-			}
-		}
-		e.fromStore = true
+	el, ok := c.entries[key]
+	if ok {
 		c.order.MoveToFront(el)
-		return
+	} else {
+		el = c.insertLocked(&cacheEntry[V]{key: key})
 	}
-	memo := make(map[string][]byte, len(arts))
-	for k, v := range arts {
-		memo[k] = v
-	}
-	c.insertLocked(&cacheEntry[V]{key: key, artifacts: memo, fromStore: true})
+	e := el.Value.(*cacheEntry[V])
+	e.merge(arts)
+	e.fromStore = true
 }
 
-// insertLocked pushes a fresh entry and enforces the capacity bound.
-// Caller holds c.mu.
-func (c *resourceCache[V]) insertLocked(e *cacheEntry[V]) {
-	c.entries[e.key] = c.order.PushFront(e)
+// insertLocked pushes a fresh entry and enforces the capacity bound, which
+// the fresh (front) entry always survives. Caller holds c.mu.
+func (c *resourceCache[V]) insertLocked(e *cacheEntry[V]) *list.Element {
+	el := c.order.PushFront(e)
+	c.entries[e.key] = el
 	// The entry gauge is kept by increments, not recomputed from this
 	// cache's length: the seed and history caches share one Metrics, and the
 	// gauge reports their combined population.
@@ -213,6 +170,7 @@ func (c *resourceCache[V]) insertLocked(e *cacheEntry[V]) {
 			c.metrics.cacheEntries.Add(-1)
 		}
 	}
+	return el
 }
 
 // Has reports whether key is present at all — as a live value, a snapshot

@@ -13,7 +13,7 @@ func stubStudy(seed int64) *study.Study { return &study.Study{Seed: seed} }
 
 func TestCacheLRUEviction(t *testing.T) {
 	m := NewMetrics()
-	c := newStudyCache(2, m)
+	c := newResourceCache[*study.Study](2, m)
 	c.Put(1, stubStudy(1))
 	c.Put(2, stubStudy(2))
 	if _, ok := c.Get(1); !ok { // refresh 1 → 2 becomes LRU
@@ -37,7 +37,7 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheSeedsOrder(t *testing.T) {
-	c := newStudyCache(4, nil)
+	c := newResourceCache[*study.Study](4, nil)
 	for _, s := range []int64{5, 6, 7} {
 		c.Put(s, stubStudy(s))
 	}
@@ -49,7 +49,7 @@ func TestCacheSeedsOrder(t *testing.T) {
 }
 
 func TestCachePutRefreshKeepsSize(t *testing.T) {
-	c := newStudyCache(2, nil)
+	c := newResourceCache[*study.Study](2, nil)
 	c.Put(1, stubStudy(1))
 	c.Put(1, stubStudy(1))
 	if c.Len() != 1 {
@@ -58,7 +58,7 @@ func TestCachePutRefreshKeepsSize(t *testing.T) {
 }
 
 func TestCacheCapacityClamped(t *testing.T) {
-	c := newStudyCache(0, nil)
+	c := newResourceCache[*study.Study](0, nil)
 	c.Put(1, stubStudy(1))
 	c.Put(2, stubStudy(2))
 	if c.Len() != 1 {
@@ -69,7 +69,7 @@ func TestCacheCapacityClamped(t *testing.T) {
 // TestCacheConcurrent hammers the cache from many goroutines; the race
 // detector is the assertion.
 func TestCacheConcurrent(t *testing.T) {
-	c := newStudyCache(4, NewMetrics())
+	c := newResourceCache[*study.Study](4, NewMetrics())
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)

@@ -3,10 +3,8 @@ package serve
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 
 	"github.com/schemaevo/schemaevo/internal/obs"
 )
@@ -32,8 +30,7 @@ func registerDebug(mux *http.ServeMux, s *Server) {
 	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("GET /v1/debug/trace", s.handleDebugTrace(true))
-	mux.HandleFunc("GET /debug/trace", s.legacy("/v1/debug/trace", s.handleDebugTrace(false)))
+	mux.HandleFunc("GET /v1/debug/trace", s.handleDebugTrace)
 	mux.HandleFunc("GET /v1/debug/scrub", s.handleDebugScrub)
 	mux.HandleFunc("GET /v1/debug/stats", s.handleDebugStats)
 	mux.HandleFunc("GET /v1/debug/events", s.handleDebugEvents)
@@ -59,7 +56,7 @@ func (s *Server) handleDebugScrub(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, ErrNoLifecycle) {
 			code = http.StatusNotImplemented
 		}
-		respondError(w, true, code, err.Error(), 0)
+		ErrEnvelope{}.Write(w, code, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -71,37 +68,28 @@ func (s *Server) handleDebugScrub(w http.ResponseWriter, r *http.Request) {
 // the Chrome trace JSON. The run bypasses the cache on purpose — a cached
 // study has no spans to show — but its result still fills the cache and
 // schedules a snapshot save, so the endpoint doubles as an instrumented
-// prewarm. Stage durations feed the shared /metrics histograms like any
+// prewarm. Stage durations feed the shared /v1/metrics histograms like any
 // other run.
-func (s *Server) handleDebugTrace(jsonErr bool) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		seed := int64(1)
-		if q := r.URL.Query().Get("seed"); q != "" {
-			parsed, err := strconv.ParseInt(q, 10, 64)
-			if err != nil {
-				respondError(w, jsonErr, http.StatusBadRequest,
-					fmt.Sprintf("seed must be an integer, got %q", q), 0)
-				return
-			}
-			seed = parsed
-		}
-		tr := obs.NewTracer(obs.Options{Collect: true, MaxSpans: s.opts.TraceMaxSpans,
-			Stages: s.metrics.stages, Logger: s.opts.Logger, Bus: s.bus, Seed: seed})
-		ctx := obs.WithTracer(r.Context(), tr)
-		ctx = obs.WithLogger(ctx, s.opts.Logger)
-		s.metrics.pipelineRuns.Add(1)
-		s.metrics.pipelineInflight.Add(1)
-		st, err := s.opts.Runner.Run(ctx, seed)
-		s.metrics.pipelineInflight.Add(-1)
-		if err != nil {
-			failErr(w, jsonErr, seed, err)
+func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
+	seed := int64(1)
+	if q := r.URL.Query().Get("seed"); q != "" {
+		var err error
+		if seed, err = Seeds.Parse(q); err != nil {
+			ErrEnvelope{}.Write(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		s.cache.Put(seed, st)
-		s.schedulePersist(seed, st)
-		w.Header().Set("Content-Type", "application/json")
-		if err := tr.WriteChromeTrace(w); err != nil {
-			s.opts.Logger.Error("debug trace export failed", "seed", seed, "err", err)
-		}
+	}
+	tr := obs.NewTracer(obs.Options{Collect: true, MaxSpans: s.opts.TraceMaxSpans,
+		Stages: s.metrics.stages, Logger: s.opts.Logger, Bus: s.bus, Seed: seed})
+	ctx := obs.WithLogger(obs.WithTracer(r.Context(), tr), s.opts.Logger)
+	st, err := s.runPipeline(ctx, seed)
+	if err != nil {
+		failRun(w, Seeds.Ref(seed), err)
+		return
+	}
+	s.seeds.install(seed, st)
+	w.Header().Set("Content-Type", "application/json")
+	if err := tr.WriteChromeTrace(w); err != nil {
+		s.opts.Logger.Error("debug trace export failed", "seed", seed, "err", err)
 	}
 }

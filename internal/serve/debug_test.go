@@ -29,7 +29,7 @@ func TestDebugTrace(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	code, body, hdr := get(t, ts, "/debug/trace?seed=5")
+	code, body, hdr := get(t, ts, "/v1/debug/trace?seed=5")
 	if code != 200 {
 		t.Fatalf("status %d: %s", code, body)
 	}
@@ -54,8 +54,8 @@ func TestDebugTrace(t *testing.T) {
 	if !names["study.new"] || !names["corpus.generate"] {
 		t.Fatalf("trace missing stage spans, got %v", names)
 	}
-	if _, ok := srv.cache.Get(5); !ok {
-		t.Error("/debug/trace must fill the cache for its seed")
+	if _, ok := srv.seeds.cache.Get(5); !ok {
+		t.Error("/v1/debug/trace must fill the cache for its seed")
 	}
 	s := srv.Metrics().Snapshot()
 	if s.PipelineRuns != 1 || s.PipelineInflight != 0 {
@@ -69,7 +69,7 @@ func TestDebugTraceBadSeed(t *testing.T) {
 	})})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	if code, body, _ := get(t, ts, "/debug/trace?seed=banana"); code != 400 {
+	if code, body, _ := get(t, ts, "/v1/debug/trace?seed=banana"); code != 400 {
 		t.Fatalf("status %d: %s", code, body)
 	}
 }
@@ -89,7 +89,7 @@ func TestPprofMounted(t *testing.T) {
 }
 
 // TestServerStageMetrics: a pipeline run through the normal study path must
-// populate the schemaevo_stage_* families in /metrics via the server's
+// populate the schemaevo_stage_* families in /v1/metrics via the server's
 // shared metrics-only tracer.
 func TestServerStageMetrics(t *testing.T) {
 	runner := func(ctx context.Context, seed int64) (*study.Study, error) {
@@ -102,17 +102,17 @@ func TestServerStageMetrics(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	if code, body, _ := get(t, ts, "/v1/study/3/export.csv"); code != 200 {
+	if code, body, _ := get(t, ts, "/v1/seeds/3/artifacts/export.csv"); code != 200 {
 		t.Fatalf("status %d: %s", code, body)
 	}
-	_, body, _ := get(t, ts, "/metrics")
+	_, body, _ := get(t, ts, "/v1/metrics")
 	for _, want := range []string{
 		"# TYPE schemaevo_stage_duration_seconds histogram",
 		`schemaevo_stage_duration_seconds_count{stage="history.analyze"} 1`,
 		`schemaevo_stage_runs_total{stage="history.analyze"} 1`,
 	} {
 		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %q\n%s", want, body)
+			t.Errorf("/v1/metrics missing %q\n%s", want, body)
 		}
 	}
 }
@@ -130,7 +130,7 @@ func TestOrphanedRunMetrics(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	if code, body, _ := get(t, ts, "/v1/study/7/export.csv"); code != 504 {
+	if code, body, _ := get(t, ts, "/v1/seeds/7/artifacts/export.csv"); code != 504 {
 		t.Fatalf("status %d: %s", code, body)
 	}
 	s := srv.Metrics().Snapshot()
@@ -155,7 +155,7 @@ func TestOrphanedRunMetrics(t *testing.T) {
 // the real cache length once the dust settles.
 func TestCacheEntriesNeverNegative(t *testing.T) {
 	m := newMetricsWithStages(obs.NewStageRegistry())
-	c := newStudyCache(2, m)
+	c := newResourceCache[*study.Study](2, m)
 	stop := make(chan struct{})
 	var negatives sync.Map
 	var watcher sync.WaitGroup

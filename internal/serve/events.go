@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -14,16 +15,15 @@ import (
 // This file is the daemon's live-telemetry surface: two Server-Sent-Events
 // endpoints on top of the obs span event bus.
 //
-//	GET /v1/seeds/{seed}/events   stage progress of one run, triggering (or
-//	                              joining, via the singleflight) the run if
-//	                              the seed is cold; ends with a `result` event
-//	GET /v1/debug/events          firehose of every span event on the daemon,
-//	                              across all seeds, until the client leaves
+//	GET /v1/{seeds|histories}/{id}/events  stage progress of one run, ending
+//	                                       with a `result` event
+//	GET /v1/debug/events                   firehose of every span event on the
+//	                                       daemon until the client leaves
 //
-// Events use `id: <seed>:<seq>` where seq is the run tracer's publication
+// Events use `id: <key>:<seq>` where seq is the run tracer's publication
 // sequence — the event's position in the run's canonical stream. Because the
-// pipeline is deterministic per seed, a reconnecting client (or the proxy
-// failing over mid-stream) sends `Last-Event-ID: <seed>:<n>` and the daemon
+// pipeline is deterministic per key, a reconnecting client (or the proxy
+// failing over mid-stream) sends `Last-Event-ID: <key>:<n>` and the daemon
 // skips everything it already saw, even when the resumed run is a fresh
 // execution on another shard.
 
@@ -32,9 +32,9 @@ import (
 // const: tests shorten it.
 var keepaliveInterval = 15 * time.Second
 
-// isEventStreamPath reports whether path is one of the SSE routes, which
-// are exempt from the per-request deadline.
-func isEventStreamPath(path string) bool {
+// IsEventStreamPath reports whether path is one of the SSE routes, which
+// are exempt from the per-request deadline (here and at the proxy).
+func IsEventStreamPath(path string) bool {
 	return path == "/v1/debug/events" ||
 		(strings.HasPrefix(path, "/v1/seeds/") && strings.HasSuffix(path, "/events")) ||
 		(strings.HasPrefix(path, "/v1/histories/") && strings.HasSuffix(path, "/events"))
@@ -55,7 +55,7 @@ type stageEvent struct {
 	Attrs     map[string]any `json:"attrs,omitempty"`
 }
 
-// resultEvent is the terminal SSE payload of a seed stream.
+// resultEvent is the terminal SSE payload of a resource stream.
 type resultEvent struct {
 	Seed      int64   `json:"seed"`
 	History   string  `json:"history,omitempty"`
@@ -99,7 +99,7 @@ type sseWriter struct {
 	fl      http.Flusher
 	metrics *Metrics
 	sub     *obs.Subscriber
-	history string // full history identity stamped on frames of a history stream
+	id      string // full content address stamped on frames of an addressed kind
 	sent    int64
 	synced  int64 // dropped count already pushed into the metrics
 }
@@ -124,7 +124,7 @@ func (sw *sseWriter) stage(ev obs.Event, after int64) {
 		return
 	}
 	payload := stagePayload(ev)
-	payload.History = sw.history
+	payload.History = sw.id
 	data, err := json.Marshal(payload)
 	if err != nil {
 		return
@@ -136,11 +136,11 @@ func (sw *sseWriter) stage(ev obs.Event, after int64) {
 	sw.syncDropped()
 }
 
-// result writes the terminal frame of a seed stream.
+// result writes the terminal frame of a resource stream.
 func (sw *sseWriter) result(seed int64, runErr error, elapsed time.Duration) {
 	res := resultEvent{
 		Seed:      seed,
-		History:   sw.history,
+		History:   sw.id,
 		Status:    "ok",
 		Events:    sw.sent,
 		Dropped:   sw.sub.Dropped(),
@@ -195,39 +195,45 @@ func lastEventSeq(r *http.Request) int64 {
 	return seq
 }
 
-// handleSeedEvents streams one seed's pipeline stage progress as SSE. A
-// cold seed triggers the run; concurrent watchers and artifact requests all
-// share that one execution through the singleflight. The stream ends with a
-// `result` event once the run (or restore, or cache hit) settles. A client
-// that disconnects mid-run cancels nothing shared — the run keeps going and
-// fills the cache, exactly like an abandoned artifact request.
-func (s *Server) handleSeedEvents(w http.ResponseWriter, r *http.Request) {
-	seed, err := parseSeed(r)
-	if err != nil {
-		respondError(w, true, http.StatusBadRequest, err.Error(), 0)
+// handleEvents streams one resource's run stage progress as SSE, ending
+// with a `result` event once the run (or restore, or cache hit) settles.
+// A seed's stream triggers the run of a cold seed; a history's can only
+// join an ingest already in flight, since the upload body comes with the
+// POST alone. Concurrent watchers and artifact requests all share one run
+// through the singleflight, and a client that disconnects mid-run cancels
+// nothing shared — the run keeps going and fills the cache, exactly like an
+// abandoned artifact request.
+func (r *resource[K, V]) handleEvents(w http.ResponseWriter, req *http.Request) {
+	id, ok := r.parse(w, req)
+	if !ok {
 		return
 	}
-	after := lastEventSeq(r)
+	s, key := r.srv, r.Key(id)
+	after := lastEventSeq(req)
 
-	sub := s.bus.Subscribe(seed, s.opts.EventBuffer)
+	sub := s.bus.Subscribe(key, s.opts.EventBuffer)
 	defer sub.Close()
 	s.metrics.eventSubscribers.Add(1)
 	defer s.metrics.eventSubscribers.Add(-1)
 
-	sw, ok := s.newSSEWriter(w, sub)
-	if !ok {
-		respondError(w, true, http.StatusInternalServerError,
-			"response writer does not support streaming", seed)
+	// Subscribe first, then settle: a run that starts in between would
+	// otherwise lose its early events.
+	start := time.Now()
+	done := r.settle(req.Context(), id)
+	if done == nil {
+		r.Ref(id).Write(w, http.StatusNotFound,
+			fmt.Sprintf("unknown %s and no run in flight; POST it to /v1/%s first", r.Name, r.Plural))
 		return
 	}
-	sw.comment(fmt.Sprintf("stage events for seed %d", seed))
-
-	// Kick the run. ensureSeed settles instantly for cached or
-	// snapshot-restored seeds (zero stage events, straight to result) and
-	// otherwise runs or joins the pipeline.
-	start := time.Now()
-	done := make(chan error, 1)
-	go func() { done <- s.ensureSeed(r.Context(), seed) }()
+	sw, ok := s.newSSEWriter(w, sub)
+	if !ok {
+		r.Ref(id).Write(w, http.StatusInternalServerError, "response writer does not support streaming")
+		return
+	}
+	if r.Addressed {
+		sw.id = r.Format(id)
+	}
+	sw.comment(fmt.Sprintf("stage events for %s %s", r.Name, r.Format(id)))
 
 	keepalive := time.NewTicker(keepaliveInterval)
 	defer keepalive.Stop()
@@ -235,7 +241,7 @@ func (s *Server) handleSeedEvents(w http.ResponseWriter, r *http.Request) {
 wait:
 	for {
 		select {
-		case <-r.Context().Done():
+		case <-req.Context().Done():
 			return // client gone; any in-flight run continues detached
 		case runErr = <-done:
 			break wait
@@ -248,8 +254,8 @@ wait:
 			sw.comment("keepalive")
 		}
 	}
-	// Every span of the run ended (and so published) before ensureSeed
-	// returned; drain what is still buffered, then close with the result.
+	// Every span of the run ended (and so published) before it settled;
+	// drain what is still buffered, then close with the result.
 	for {
 		select {
 		case ev, ok := <-sub.C():
@@ -262,7 +268,43 @@ wait:
 		}
 		break
 	}
-	sw.result(seed, runErr, time.Since(start))
+	sw.result(key, runErr, time.Since(start))
+}
+
+// settle returns the channel on which id's run outcome arrives — at once
+// for a cached or stored resource — or nil when id is unknown and the kind
+// cannot start it.
+func (r *resource[K, V]) settle(ctx context.Context, id K) <-chan error {
+	done := make(chan error, 1)
+	if r.start != nil {
+		go func() { done <- r.ensure(ctx, id) }()
+		return done
+	}
+	key := r.Key(id)
+	wait := r.runs.Wait(key)
+	if wait == nil && !r.cache.Has(key) {
+		r.restore(ctx, id)
+		// Re-probe the flight: an upload may have raced in.
+		if wait = r.runs.Wait(key); wait == nil && !r.cache.Has(key) {
+			return nil
+		}
+	}
+	go func() {
+		if wait != nil {
+			select {
+			case <-wait:
+			case <-ctx.Done():
+				done <- ctx.Err()
+				return
+			}
+		}
+		if !r.cache.Has(key) {
+			done <- fmt.Errorf("%s run failed; re-POST it for the error detail", r.Name)
+			return
+		}
+		done <- nil
+	}()
+	return done
 }
 
 // handleDebugEvents is the firehose: every span event on the daemon —
@@ -276,8 +318,7 @@ func (s *Server) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
 
 	sw, ok := s.newSSEWriter(w, sub)
 	if !ok {
-		respondError(w, true, http.StatusInternalServerError,
-			"response writer does not support streaming", 0)
+		ErrEnvelope{}.Write(w, http.StatusInternalServerError, "response writer does not support streaming")
 		return
 	}
 	sw.comment("span event firehose")

@@ -7,46 +7,51 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"time"
 
 	"github.com/schemaevo/schemaevo/internal/ingest"
-	"github.com/schemaevo/schemaevo/internal/obs"
 	"github.com/schemaevo/schemaevo/internal/store"
 )
 
-// This file is the ingested-history side of the unified resource model:
-// POST /v1/histories accepts a user-supplied DDL history, runs the
+// This file is what the ingested-history kind adds to the unified resource
+// model: POST /v1/histories accepts a user-supplied DDL history, runs the
 // parse→diff→heartbeat→classify pipeline on it (ingest.Run), and serves the
 // resulting profile/compatibility artifacts through the same
-// cache → singleflight → store machinery the seed namespace uses. The
-// content address (hex SHA-256 of the normalized history) is the public
-// identity; its 64-bit truncation keys the LRU, the flights, the snapshot
-// store and the event bus, so re-uploads and concurrent uploads of one
-// logical history collapse onto one run — the dedup the
-// schemaevod_ingest_dedup_hits_total counter observes.
+// cache → singleflight → store machinery as seeds. Re-uploads and
+// concurrent uploads of one logical history collapse onto one run — the
+// dedup the schemaevod_ingest_dedup_hits_total counter observes.
 
 // DefaultMaxUploadBytes is the POST /v1/histories body bound when
 // Options.MaxUploadBytes is zero.
 const DefaultMaxUploadBytes int64 = 8 << 20
 
-// registerHistoryID records the truncated-key → full-identity mapping. The
-// registry is what listings and snapshot verification translate through; it
-// grows by one small entry per distinct history seen this process and is
-// never a correctness requirement (a missing id only hides the entry from
-// the cached listing).
-func (s *Server) registerHistoryID(key int64, id string) {
-	s.idMu.Lock()
-	s.historyIDs[key] = id
-	s.idMu.Unlock()
-}
-
-// historyID translates a truncated key back to its full identity.
-func (s *Server) historyID(key int64) (string, bool) {
-	s.idMu.Lock()
-	defer s.idMu.Unlock()
-	id, ok := s.historyIDs[key]
-	return id, ok
+// newHistories builds the history kind over the history store.
+func newHistories(s *Server) *resource[string, *ingest.Result] {
+	r := newResource[string, *ingest.Result](s, Histories, s.opts.HistoryStore)
+	r.memo = func(res *ingest.Result) map[string][]byte { return res.Artifacts }
+	r.snapshot = func(_ context.Context, res *ingest.Result) (*store.Snapshot, error) {
+		return &store.Snapshot{Artifacts: res.Artifacts}, nil
+	}
+	r.storedIDs = func(ctx context.Context) ([]string, error) {
+		if lister, ok := r.store.(store.IDLister); ok {
+			return lister.ListIDs(ctx)
+		}
+		return nil, nil
+	}
+	r.describe = func(key int64, desc map[string]any) {
+		desc["artifacts"] = ingest.ArtifactKeys()
+		// Surface the history's SQL dialect (detected or client-supplied at
+		// ingest) from the rendered profile when it is in the memo.
+		if b, ok := r.cache.GetArtifact(key, ingest.ArtifactProfile); ok {
+			var p struct {
+				Dialect string `json:"dialect"`
+			}
+			if json.Unmarshal(b, &p) == nil && p.Dialect != "" {
+				desc["dialect"] = p.Dialect
+			}
+		}
+	}
+	return r
 }
 
 // ingestResponse is the POST /v1/histories body: the resource identity plus
@@ -63,19 +68,19 @@ type ingestResponse struct {
 }
 
 // handleIngest is POST /v1/histories: bound the body, decode and
-// content-address the upload, then run — or dedup onto — the ingest
-// pipeline.
+// content-address the upload, then answer from the memo or the store, or
+// run — or dedup onto — the ingest pipeline.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+	ref := Histories.Ref("")
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes))
 	if err != nil {
 		s.metrics.ingestRejected.Add(1)
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			respondHistoryError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("upload exceeds the %d-byte limit", mbe.Limit), "")
+			ref.Write(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("upload exceeds the %d-byte limit", mbe.Limit))
 			return
 		}
-		respondHistoryError(w, http.StatusBadRequest, "read upload: "+err.Error(), "")
+		ref.Write(w, http.StatusBadRequest, "read upload: "+err.Error())
 		return
 	}
 	up, err := ingest.Prepare(r.Header.Get("Content-Type"), body)
@@ -85,189 +90,44 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, ingest.ErrUnsupportedMedia) {
 			code = http.StatusUnsupportedMediaType
 		}
-		respondHistoryError(w, code, err.Error(), "")
+		ref.Write(w, code, err.Error())
 		return
 	}
 	s.metrics.ingestAccepted.Add(1)
-	key := up.Key()
-	s.registerHistoryID(key, up.ID)
+	ref = Histories.Ref(up.ID)
 
-	created, arts, err := s.runIngest(r.Context(), up)
-	if err != nil {
-		switch {
-		case errors.Is(err, ingest.ErrNoUsableVersions):
-			respondHistoryError(w, http.StatusUnprocessableEntity, err.Error(), up.ID)
-		case errors.Is(err, context.DeadlineExceeded):
-			respondHistoryError(w, http.StatusGatewayTimeout,
-				"ingest run exceeded the request deadline; retry — the run continues and will be cached", up.ID)
-		case errors.Is(err, context.Canceled):
-			respondHistoryError(w, 499, "request canceled", up.ID)
-		default:
-			respondHistoryError(w, http.StatusInternalServerError, err.Error(), up.ID)
+	resp := ingestResponse{Resource: Histories.Name, ID: up.ID, Artifacts: ingest.ArtifactKeys()}
+	profile, ok := s.histories.lookup(r.Context(), up.ID, ingest.ArtifactProfile)
+	compat, ok2 := s.histories.cache.GetArtifact(up.Key(), ingest.ArtifactCompatibility)
+	if !ok || !ok2 {
+		res, ran, err := s.histories.run(r.Context(), up.ID, func(ctx context.Context, id string) (*ingest.Result, error) {
+			res, err := ingest.Run(ctx, up)
+			if err == nil {
+				s.opts.Logger.Info("history ingested", "history", id, "project", res.Profile.Project,
+					"taxon", res.Profile.TaxonShort, "compatibility", res.Profile.Compatibility)
+			}
+			return res, err
+		})
+		if errors.Is(err, ingest.ErrNoUsableVersions) {
+			ref.Write(w, http.StatusUnprocessableEntity, err.Error())
+			return
 		}
-		return
+		if err != nil {
+			failRun(w, ref, err)
+			return
+		}
+		resp.Created = ran
+		profile, compat = res.Artifacts[ingest.ArtifactProfile], res.Artifacts[ingest.ArtifactCompatibility]
 	}
-	if !created {
+	if !resp.Created {
 		s.metrics.ingestDedup.Add(1)
 	}
-	resp := ingestResponse{
-		Resource:      "history",
-		ID:            up.ID,
-		Created:       created,
-		Artifacts:     ingest.SortedKeys(arts),
-		Profile:       json.RawMessage(arts[ingest.ArtifactProfile]),
-		Compatibility: json.RawMessage(arts[ingest.ArtifactCompatibility]),
-	}
+	resp.Profile, resp.Compatibility = profile, compat
 	w.Header().Set("Content-Type", "application/json")
-	if created {
+	if resp.Created {
 		w.WriteHeader(http.StatusCreated)
 	}
 	json.NewEncoder(w).Encode(resp)
-}
-
-// runIngest resolves one prepared upload to its artifact set: memo hit,
-// store restore, join of an in-flight run, or a fresh pipeline execution.
-// created reports whether this call performed the run — every other path is
-// a dedup hit. Like getStudy, the run itself is detached from the request
-// context: an abandoned upload still completes, fills the cache and
-// persists.
-func (s *Server) runIngest(ctx context.Context, up *ingest.Upload) (created bool, arts map[string][]byte, err error) {
-	key := up.Key()
-	if arts, ok := s.histories.Artifacts(key); ok {
-		s.metrics.cacheHits.Add(1)
-		s.metrics.memoHits.Add(1)
-		return false, arts, nil
-	}
-	s.metrics.cacheMisses.Add(1)
-	s.restoreHistory(ctx, key, up.ID)
-	if arts, ok := s.histories.Artifacts(key); ok {
-		return false, arts, nil
-	}
-	ran := false // set by this caller's flight fn iff it executed the run
-	ch := s.ingestFlight.DoChan(key, func() (any, error) {
-		// Re-check under the flight: a run completed between this caller's
-		// miss and its flight creation has already filled the cache.
-		if arts, ok := s.histories.Artifacts(key); ok {
-			return arts, nil
-		}
-		ran = true
-		// A per-run tracer stamps the history's key on every event, so SSE
-		// watchers of /v1/histories/{id}/events see the ingest.* stages live.
-		runTracer := obs.NewTracer(obs.Options{
-			Stages: s.metrics.stages, Logger: s.opts.Logger, Bus: s.bus, Seed: key,
-		})
-		runCtx := obs.WithTracer(context.Background(), runTracer)
-		runCtx = obs.WithLogger(runCtx, s.opts.Logger)
-		res, err := ingest.Run(runCtx, up)
-		if err != nil {
-			return nil, err
-		}
-		s.histories.Put(key, res)
-		s.histories.MergeArtifacts(key, res.Artifacts)
-		s.schedulePersistHistory(key, up.ID, res.Artifacts)
-		s.opts.Logger.Info("history ingested",
-			"history", up.ID[:16], "project", res.Profile.Project,
-			"taxon", res.Profile.TaxonShort, "compatibility", res.Profile.Compatibility)
-		return res.Artifacts, nil
-	})
-	select {
-	case <-ctx.Done():
-		s.metrics.timeouts.Add(1)
-		if s.ingestFlight.Inflight(key) {
-			s.metrics.orphanedRuns.Add(1)
-			s.opts.Logger.Warn("request abandoned in-flight ingest run", "history", up.ID[:16])
-		}
-		return false, nil, ctx.Err()
-	case res := <-ch:
-		if res.Shared {
-			s.metrics.flightJoins.Add(1)
-		}
-		if res.Err != nil {
-			return false, nil, res.Err
-		}
-		return ran && !res.Shared, res.Val.(map[string][]byte), nil
-	}
-}
-
-// restoreHistory is the store read-through for the history namespace. The
-// snapshot's stored identity must match the requested one — the guard
-// against a (vanishingly unlikely) truncated-key collision.
-func (s *Server) restoreHistory(ctx context.Context, key int64, id string) {
-	if s.opts.HistoryStore == nil || s.histories.Has(key) {
-		return
-	}
-	s.historyLoads.Do(key, func() (any, error) {
-		if s.histories.Has(key) {
-			return nil, nil
-		}
-		lctx := obs.WithTracer(ctx, s.tracer)
-		snap, err := s.opts.HistoryStore.Get(lctx, key)
-		switch {
-		case err == nil:
-			if id != "" && snap.ID != "" && snap.ID != id {
-				s.metrics.storeMisses.Add(1)
-				s.opts.Logger.Warn("stored history identity mismatch; treating as miss",
-					"requested", id[:16], "stored", snap.ID[:16])
-				return nil, nil
-			}
-			s.metrics.storeHits.Add(1)
-			s.histories.InstallSnapshot(key, snap.Artifacts)
-			if snap.ID != "" {
-				s.registerHistoryID(key, snap.ID)
-			}
-			s.opts.Logger.Info("history restored from store",
-				"history", snap.ID[:16], "artifacts", len(snap.Artifacts), "saved_at", snap.SavedAt)
-		case errors.Is(err, store.ErrNotFound):
-			s.metrics.storeMisses.Add(1)
-		default:
-			s.metrics.storeCorrupt.Add(1)
-			s.opts.Logger.Warn("stored history unusable; client must re-upload",
-				"history", id[:16], "err", err)
-		}
-		return nil, nil
-	})
-}
-
-// schedulePersistHistory queues the write-behind for a completed ingest run,
-// mirroring schedulePersist: in-flight dedup per key, cleared win or lose,
-// counted into the shared persistWG so SyncStore covers both namespaces.
-func (s *Server) schedulePersistHistory(key int64, id string, arts map[string][]byte) {
-	if s.opts.HistoryStore == nil {
-		return
-	}
-	s.persistMu.Lock()
-	if s.persistingHist[key] {
-		s.persistMu.Unlock()
-		return
-	}
-	s.persistingHist[key] = true
-	s.persistMu.Unlock()
-
-	s.persistWG.Add(1)
-	go func() {
-		defer s.persistWG.Done()
-		ctx := obs.WithTracer(context.Background(), s.tracer)
-		ctx = obs.WithLogger(ctx, s.opts.Logger)
-		snap := &store.Snapshot{Seed: key, ID: id, SavedAt: time.Now().UTC(), Artifacts: arts}
-		err := s.opts.HistoryStore.Put(ctx, key, snap)
-		s.persistMu.Lock()
-		delete(s.persistingHist, key)
-		s.persistMu.Unlock()
-		if err != nil {
-			s.opts.Logger.Error("history snapshot save failed", "history", id[:16], "err", err)
-			return
-		}
-		s.metrics.storeSaves.Add(1)
-	}()
-}
-
-// parseHistoryID validates the {id} path value.
-func parseHistoryID(r *http.Request) (string, int64, error) {
-	id := r.PathValue("id")
-	if !ingest.ValidID(id) {
-		return id, 0, fmt.Errorf("history ids are 64 hex characters (the sha-256 returned by POST /v1/histories), got %q", id)
-	}
-	return id, ingest.Key(id), nil
 }
 
 // handleHistoryArtifact serves one rendered ingest artifact: memo hit →
@@ -275,207 +135,24 @@ func parseHistoryID(r *http.Request) (string, int64, error) {
 // evicted un-persisted history needs a re-upload — which dedups back to the
 // same identity).
 func (s *Server) handleHistoryArtifact(w http.ResponseWriter, r *http.Request) {
-	id, key, err := parseHistoryID(r)
-	if err != nil {
-		respondHistoryError(w, http.StatusBadRequest, err.Error(), "")
+	id, ok := s.histories.parse(w, r)
+	if !ok {
 		return
 	}
 	artifact := r.PathValue("key")
 	if !ingest.KnownArtifact(artifact) {
-		respondHistoryError(w, http.StatusNotFound,
-			fmt.Sprintf("unknown history artifact %q; available: %v", artifact, ingest.ArtifactKeys()), id)
+		Histories.Ref(id).Write(w, http.StatusNotFound,
+			fmt.Sprintf("unknown history artifact %q; available: %v", artifact, ingest.ArtifactKeys()))
 		return
 	}
 	start := time.Now()
-	if b, ok := s.histories.GetArtifact(key, artifact); ok {
-		s.metrics.cacheHits.Add(1)
-		s.metrics.memoHits.Add(1)
-		w.Header().Set("Content-Type", ingest.ContentTypeFor(artifact))
-		w.Write(b)
-		s.metrics.ObserveLatency(artifact, time.Since(start))
-		return
-	}
-	s.restoreHistory(r.Context(), key, id)
-	if b, ok := s.histories.GetArtifact(key, artifact); ok {
-		s.metrics.cacheMisses.Add(1)
-		w.Header().Set("Content-Type", ingest.ContentTypeFor(artifact))
-		w.Write(b)
-		s.metrics.ObserveLatency(artifact, time.Since(start))
-		return
-	}
-	respondHistoryError(w, http.StatusNotFound,
-		"unknown history; POST the history to /v1/histories first (re-uploads deduplicate)", id)
-}
-
-// handleHistoryResource describes one history in the unified resource
-// model.
-func (s *Server) handleHistoryResource(w http.ResponseWriter, r *http.Request) {
-	id, key, err := parseHistoryID(r)
-	if err != nil {
-		respondHistoryError(w, http.StatusBadRequest, err.Error(), "")
-		return
-	}
-	stored := false
-	if lister, ok := s.opts.HistoryStore.(store.IDLister); ok {
-		if ids, err := lister.ListIDs(r.Context()); err == nil {
-			for _, st := range ids {
-				if st == id {
-					stored = true
-					break
-				}
-			}
-		}
-	}
-	cached := s.histories.Has(key)
-	if !cached && !stored {
-		respondHistoryError(w, http.StatusNotFound,
-			"unknown history; POST the history to /v1/histories first", id)
-		return
-	}
-	desc := map[string]any{
-		"resource":  "history",
-		"id":        id,
-		"cached":    cached,
-		"stored":    stored,
-		"artifacts": ingest.ArtifactKeys(),
-	}
-	// Surface the history's SQL dialect (detected or client-supplied at
-	// ingest) from the rendered profile when it is in the memo.
-	if b, ok := s.histories.GetArtifact(key, ingest.ArtifactProfile); ok {
-		var p struct {
-			Dialect string `json:"dialect"`
-		}
-		if json.Unmarshal(b, &p) == nil && p.Dialect != "" {
-			desc["dialect"] = p.Dialect
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(desc)
-}
-
-// handleHistories lists known histories: cached (most recent first) and
-// stored identities, or — with ?limit=/?cursor= — one paginated ascending
-// list of their union.
-func (s *Server) handleHistories(w http.ResponseWriter, r *http.Request) {
-	pr, err := parsePage(r)
-	if err != nil {
-		respondResourceError(w, http.StatusBadRequest, err.Error(), "history", "")
-		return
-	}
-	cached := make([]string, 0, 8)
-	for _, key := range s.histories.Seeds() {
-		if id, ok := s.historyID(key); ok {
-			cached = append(cached, id)
-		}
-	}
-	stored := make([]string, 0, 8)
-	if lister, ok := s.opts.HistoryStore.(store.IDLister); ok {
-		if ids, err := lister.ListIDs(r.Context()); err == nil {
-			stored = ids
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if !pr.paged {
-		json.NewEncoder(w).Encode(map[string]any{"cached": cached, "stored": stored})
-		return
-	}
-	known := make(map[string]bool, len(cached)+len(stored))
-	for _, id := range cached {
-		known[id] = true
-	}
-	for _, id := range stored {
-		known[id] = true
-	}
-	all := make([]string, 0, len(known))
-	for id := range known {
-		all = append(all, id)
-	}
-	sort.Strings(all)
-	page, next := pageStrings(all, pr)
-	json.NewEncoder(w).Encode(map[string]any{"histories": page, "next_cursor": next})
-}
-
-// handleHistoryEvents streams the ingest stages of one history as SSE. The
-// events route carries no upload body, so it cannot trigger a run: it joins
-// the stream of an in-flight ingest (keyed by the history's truncated
-// address), or settles immediately for a cached/stored history, and answers
-// 404 when the daemon has never seen the id.
-func (s *Server) handleHistoryEvents(w http.ResponseWriter, r *http.Request) {
-	id, key, err := parseHistoryID(r)
-	if err != nil {
-		respondHistoryError(w, http.StatusBadRequest, err.Error(), "")
-		return
-	}
-	after := lastEventSeq(r)
-
-	sub := s.bus.Subscribe(key, s.opts.EventBuffer)
-	defer sub.Close()
-	s.metrics.eventSubscribers.Add(1)
-	defer s.metrics.eventSubscribers.Add(-1)
-
-	// Subscribe first, then probe: an ingest that starts between the probe
-	// and the subscription would otherwise lose its early events.
-	wait := s.ingestFlight.Wait(key)
-	settled := s.histories.Has(key)
-	if !settled && wait == nil {
-		s.restoreHistory(r.Context(), key, id)
-		settled = s.histories.Has(key)
-		if !settled {
-			// Re-probe the flight: an upload may have raced in.
-			if wait = s.ingestFlight.Wait(key); wait == nil {
-				respondHistoryError(w, http.StatusNotFound,
-					"unknown history and no ingest in flight; POST it to /v1/histories first", id)
-				return
-			}
-		}
-	}
-
-	sw, ok := s.newSSEWriter(w, sub)
+	b, ok := s.histories.lookup(r.Context(), id, artifact)
 	if !ok {
-		respondHistoryError(w, http.StatusInternalServerError,
-			"response writer does not support streaming", id)
+		Histories.Ref(id).Write(w, http.StatusNotFound,
+			"unknown history; POST the history to /v1/histories first (re-uploads deduplicate)")
 		return
 	}
-	sw.history = id
-	sw.comment("stage events for history " + id)
-
-	start := time.Now()
-	if wait != nil {
-		keepalive := time.NewTicker(keepaliveInterval)
-		defer keepalive.Stop()
-	stream:
-		for {
-			select {
-			case <-r.Context().Done():
-				return // client gone; the ingest continues detached
-			case <-wait:
-				break stream
-			case ev, ok := <-sub.C():
-				if !ok {
-					break stream
-				}
-				sw.stage(ev, after)
-			case <-keepalive.C:
-				sw.comment("keepalive")
-			}
-		}
-		// Every span of the run published before the flight settled; drain
-		// what is still buffered.
-		for {
-			select {
-			case ev, ok := <-sub.C():
-				if ok {
-					sw.stage(ev, after)
-					continue
-				}
-			default:
-			}
-			break
-		}
-	}
-	var runErr error
-	if !s.histories.Has(key) {
-		runErr = errors.New("ingest run failed; re-POST the history for the error detail")
-	}
-	sw.result(key, runErr, time.Since(start))
+	w.Header().Set("Content-Type", ingest.ContentTypeFor(artifact))
+	w.Write(b)
+	s.metrics.ObserveLatency(artifact, time.Since(start))
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"github.com/schemaevo/schemaevo/internal/collect"
+	"github.com/schemaevo/schemaevo/internal/ingest"
 	"github.com/schemaevo/schemaevo/internal/store"
 	"github.com/schemaevo/schemaevo/internal/study"
 )
@@ -38,51 +40,89 @@ func stubPersistServer(st store.Store, cacheSize int, runs *atomic.Int64) *Serve
 }
 
 // TestPersistMarkClears is the regression test for the write-behind's
-// in-flight mark: after a save lands, the seed must be persistable again.
-// Before the fix, schedulePersist never cleared persisting[seed] on success,
-// so a snapshot deleted from the store (retention GC, scrub, operator) could
-// never be re-persisted within one daemon generation.
+// in-flight mark: after a save lands, the resource must be persistable
+// again. Before the fix, schedulePersist never cleared persisting[seed] on
+// success, so a snapshot deleted from the store (retention GC, scrub,
+// operator) could never be re-persisted within one daemon generation. Both
+// resource kinds share the one write-behind, so both are exercised.
 func TestPersistMarkClears(t *testing.T) {
-	m := store.NewMem()
-	ctx := context.Background()
-	var runs atomic.Int64
-	srv := stubPersistServer(m, 1, &runs)
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	for _, kind := range []struct {
+		name string
+		// serve builds a 1-entry-LRU server persisting the kind into st.
+		serve func(st store.Store, runs *atomic.Int64) *Server
+		// touch requests resource n (cold or cached) and returns its key.
+		touch func(t *testing.T, ts *httptest.Server, n int) int64
+		// runs reports how many runs the server executed.
+		runs func(srv *Server, runs *atomic.Int64) int64
+	}{
+		{
+			name:  "seed",
+			serve: func(st store.Store, runs *atomic.Int64) *Server { return stubPersistServer(st, 1, runs) },
+			touch: func(t *testing.T, ts *httptest.Server, n int) int64 {
+				if code, _, _ := get(t, ts, fmt.Sprintf("/v1/seeds/%d/artifacts/export.csv", n)); code != 200 {
+					t.Fatalf("seed %d: status %d", n, code)
+				}
+				return int64(n)
+			},
+			runs: func(_ *Server, runs *atomic.Int64) int64 { return runs.Load() },
+		},
+		{
+			name:  "history",
+			serve: func(st store.Store, _ *atomic.Int64) *Server { return New(Options{HistoryStore: st, CacheSize: 1}) },
+			touch: func(t *testing.T, ts *httptest.Server, n int) int64 {
+				if code, raw := postHistory(t, ts, historyUpload(n), "application/json"); code != 201 && code != 200 {
+					t.Fatalf("history %d: status %d: %s", n, code, raw)
+				}
+				up, err := ingest.Prepare("application/json", historyUpload(n))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return up.Key()
+			},
+			runs: func(srv *Server, _ *atomic.Int64) int64 {
+				s := srv.Metrics().Snapshot()
+				return s.IngestAccepted - s.IngestDedupHits
+			},
+		},
+	} {
+		t.Run(kind.name, func(t *testing.T) {
+			m := store.NewMem()
+			ctx := context.Background()
+			var runs atomic.Int64
+			srv := kind.serve(m, &runs)
+			ts := httptest.NewServer(srv)
+			defer ts.Close()
 
-	if code, _, _ := get(t, ts, "/v1/seeds/1/artifacts/export.csv"); code != 200 {
-		t.Fatalf("status %d", code)
-	}
-	srv.SyncStore()
-	if s := srv.Metrics().Snapshot(); s.StoreSaves != 1 {
-		t.Fatalf("store_saves = %d, want 1", s.StoreSaves)
-	}
+			key1 := kind.touch(t, ts, 1)
+			srv.SyncStore()
+			if s := srv.Metrics().Snapshot(); s.StoreSaves != 1 {
+				t.Fatalf("store_saves = %d, want 1", s.StoreSaves)
+			}
 
-	// The snapshot disappears (a GC eviction or scrub delete) and the cache
-	// entry is evicted by a different seed filling the 1-slot LRU.
-	if err := m.Delete(ctx, 1); err != nil {
-		t.Fatal(err)
-	}
-	if code, _, _ := get(t, ts, "/v1/seeds/2/artifacts/export.csv"); code != 200 {
-		t.Fatal("evicting request failed")
-	}
-	srv.SyncStore()
+			// The snapshot disappears (a GC eviction or scrub delete) and the
+			// cache entry is evicted by a different resource filling the
+			// 1-slot LRU.
+			if err := m.Delete(ctx, key1); err != nil {
+				t.Fatal(err)
+			}
+			kind.touch(t, ts, 2)
+			srv.SyncStore()
 
-	// The next run of seed 1 must persist again — the stale mark would
-	// silently drop this save.
-	if code, _, _ := get(t, ts, "/v1/seeds/1/artifacts/export.csv"); code != 200 {
-		t.Fatal("re-run request failed")
-	}
-	srv.SyncStore()
-	if s := srv.Metrics().Snapshot(); s.StoreSaves != 3 {
-		t.Errorf("store_saves = %d, want 3 — persisting mark not cleared after success", s.StoreSaves)
-	}
-	seeds, _ := m.List(ctx)
-	if len(seeds) != 2 {
-		t.Errorf("stored seeds = %v, want seed 1 re-persisted alongside 2", seeds)
-	}
-	if n := runs.Load(); n != 3 {
-		t.Errorf("pipeline runs = %d, want 3", n)
+			// The next run of resource 1 must persist again — the stale mark
+			// would silently drop this save.
+			kind.touch(t, ts, 1)
+			srv.SyncStore()
+			if s := srv.Metrics().Snapshot(); s.StoreSaves != 3 {
+				t.Errorf("store_saves = %d, want 3 — persisting mark not cleared after success", s.StoreSaves)
+			}
+			keys, _ := m.List(ctx)
+			if len(keys) != 2 {
+				t.Errorf("stored keys = %v, want resource 1 re-persisted alongside 2", keys)
+			}
+			if n := kind.runs(srv, &runs); n != 3 {
+				t.Errorf("runs = %d, want 3", n)
+			}
+		})
 	}
 }
 
@@ -243,19 +283,19 @@ func TestStartGC(t *testing.T) {
 	if !srv.StartGC(loopCtx) {
 		t.Fatal("StartGC did not start despite policy, interval and disk store")
 	}
+	// The sweep's evictions land in the store before it returns and counts
+	// itself, so wait for both.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if seeds, _ := d.List(ctx); len(seeds) == 1 {
+		seeds, _ := d.List(ctx)
+		runs := srv.Metrics().Snapshot().GCRuns
+		if len(seeds) == 1 && runs > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			seeds, _ := d.List(ctx)
-			t.Fatalf("background sweep never converged: %d snapshots remain", len(seeds))
+			t.Fatalf("background sweep never converged: %d snapshots remain, %d sweeps counted", len(seeds), runs)
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-	if n := srv.Metrics().Snapshot().GCRuns; n == 0 {
-		t.Error("background sweep ran but counted nothing")
 	}
 }
 

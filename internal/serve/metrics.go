@@ -35,7 +35,6 @@ type Metrics struct {
 	storeCorrupt     atomic.Int64 // snapshots rejected as corrupt (degraded to cold run)
 	storeSaves       atomic.Int64 // write-behind snapshot saves that reached the store
 	memoHits         atomic.Int64 // artifacts served from the per-(seed, key) render memo
-	legacyRequests   atomic.Int64 // hits on deprecated pre-/v1 routes
 	gcRuns           atomic.Int64 // store retention sweeps completed
 	gcEvicted        atomic.Int64 // snapshots evicted by the retention policy
 	gcOrphanBlobs    atomic.Int64 // unreferenced blobs collected by GC
@@ -51,7 +50,7 @@ type Metrics struct {
 	eventsDropped    atomic.Int64 // events lost to full subscriber rings (slow consumers)
 	shuttingDown     atomic.Bool  // health turns not-ready during graceful drain
 	mu               sync.Mutex
-	latencyByExp     map[string]*histogram
+	latencyByExp     map[string]*obs.Histogram
 	stages           *obs.StageRegistry
 }
 
@@ -64,70 +63,13 @@ func NewMetrics() *Metrics {
 // newMetricsWithStages injects a private stage registry — the seam tests use
 // to assert on stage families without cross-test interference.
 func newMetricsWithStages(stages *obs.StageRegistry) *Metrics {
-	return &Metrics{latencyByExp: map[string]*histogram{}, stages: stages}
+	return &Metrics{latencyByExp: map[string]*obs.Histogram{}, stages: stages}
 }
 
 // latencyBuckets are the histogram upper bounds in seconds: cache hits land
 // in the microsecond buckets, cold pipeline runs in the multi-second ones.
-var latencyBuckets = [numBuckets]float64{
+var latencyBuckets = []float64{
 	.000025, .0001, .0005, .001, .005, .025, .1, .5, 1, 2.5, 5, 10, 30,
-}
-
-const numBuckets = 13
-
-// histogram is a fixed-bucket cumulative histogram. It additionally tracks
-// the maximum observation, which caps quantile estimates at the histogram's
-// open-ended edge.
-type histogram struct {
-	counts [numBuckets + 1]atomic.Int64 // +1 for +Inf
-	sum    atomic.Int64                 // nanoseconds
-	total  atomic.Int64
-	maxNS  atomic.Int64 // largest single observation, nanoseconds
-}
-
-func (h *histogram) observe(d time.Duration) {
-	secs := d.Seconds()
-	i := sort.SearchFloat64s(latencyBuckets[:], secs)
-	h.counts[i].Add(1)
-	h.sum.Add(int64(d))
-	h.total.Add(1)
-	for {
-		cur := h.maxNS.Load()
-		if int64(d) <= cur || h.maxNS.CompareAndSwap(cur, int64(d)) {
-			break
-		}
-	}
-}
-
-// quantile estimates the q-th latency quantile (0 < q < 1) by linear
-// interpolation inside the histogram's buckets. The estimate is clamped to
-// the maximum observation, so a rank landing in the open-ended +Inf bucket
-// (or interpolating past the data) reports the largest value actually seen
-// rather than a bucket bound.
-func (h *histogram) quantile(q float64) float64 {
-	total := h.total.Load()
-	if total == 0 {
-		return 0
-	}
-	max := time.Duration(h.maxNS.Load()).Seconds()
-	rank := q * float64(total)
-	var cum int64
-	lower := 0.0
-	for i, ub := range latencyBuckets {
-		c := h.counts[i].Load()
-		if c > 0 && float64(cum)+float64(c) >= rank {
-			v := lower + (rank-float64(cum))/float64(c)*(ub-lower)
-			if v > max {
-				v = max
-			}
-			return v
-		}
-		cum += c
-		lower = ub
-	}
-	// The rank lives in the +Inf bucket: every bucketed answer would be a
-	// fabricated bound, so report the max observed instead.
-	return max
 }
 
 // ObserveLatency records one served artifact's latency under its experiment
@@ -136,11 +78,11 @@ func (m *Metrics) ObserveLatency(experiment string, d time.Duration) {
 	m.mu.Lock()
 	h, ok := m.latencyByExp[experiment]
 	if !ok {
-		h = &histogram{}
+		h = obs.NewHistogram(latencyBuckets)
 		m.latencyByExp[experiment] = h
 	}
 	m.mu.Unlock()
-	h.observe(d)
+	h.Observe(d)
 }
 
 // Snapshot is a consistent read of the counter state, used by tests and the
@@ -152,7 +94,7 @@ type Snapshot struct {
 	PipelineInflight, OrphanedRuns          int64
 	Timeouts                                int64
 	StoreHits, StoreMisses, StoreCorrupt    int64
-	StoreSaves, MemoHits, LegacyRequests    int64
+	StoreSaves, MemoHits                    int64
 	GCRuns, GCEvicted, GCOrphanBlobs        int64
 	GCTmpFiles                              int64
 	ScrubRuns, ScrubBlobs, ScrubDamaged     int64
@@ -182,7 +124,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		StoreCorrupt:     m.storeCorrupt.Load(),
 		StoreSaves:       m.storeSaves.Load(),
 		MemoHits:         m.memoHits.Load(),
-		LegacyRequests:   m.legacyRequests.Load(),
 		GCRuns:           m.gcRuns.Load(),
 		GCEvicted:        m.gcEvicted.Load(),
 		GCOrphanBlobs:    m.gcOrphanBlobs.Load(),
@@ -225,43 +166,37 @@ type StatsDocument struct {
 
 // StatsDocument builds the latency/stage join from the live registries.
 func (m *Metrics) StatsDocument() StatsDocument {
-	doc := StatsDocument{
-		Experiments: map[string]StatEntry{},
-		Stages:      map[string]StatEntry{},
-	}
+	doc := StatsDocument{Experiments: map[string]StatEntry{}, Stages: StageStats(m.stages)}
 	m.mu.Lock()
-	hists := make(map[string]*histogram, len(m.latencyByExp))
-	for k, h := range m.latencyByExp {
-		hists[k] = h
-	}
-	m.mu.Unlock()
-	for key, h := range hists {
-		total := h.total.Load()
-		if total == 0 {
-			continue
-		}
-		sum := time.Duration(h.sum.Load()).Seconds()
-		doc.Experiments[key] = StatEntry{
-			Count:      total,
-			SumSeconds: sum,
-			AvgSeconds: sum / float64(total),
-			P50Seconds: h.quantile(0.50),
-			P99Seconds: h.quantile(0.99),
-		}
-	}
-	if m.stages != nil {
-		for _, st := range m.stages.Snapshot() {
-			if st.Count == 0 {
-				continue
-			}
-			doc.Stages[st.Name] = StatEntry{
-				Count:      st.Count,
-				SumSeconds: st.Sum.Seconds(),
-				AvgSeconds: st.Avg().Seconds(),
+	defer m.mu.Unlock()
+	for key, h := range m.latencyByExp {
+		if total := h.Count(); total > 0 {
+			sum := h.Sum().Seconds()
+			doc.Experiments[key] = StatEntry{
+				Count:      total,
+				SumSeconds: sum,
+				AvgSeconds: sum / float64(total),
+				P50Seconds: h.Quantile(0.50),
+				P99Seconds: h.Quantile(0.99),
 			}
 		}
 	}
 	return doc
+}
+
+// StageStats renders a stage registry's non-empty stages as stats entries
+// (nil registry = none).
+func StageStats(stages *obs.StageRegistry) map[string]StatEntry {
+	out := map[string]StatEntry{}
+	if stages == nil {
+		return out
+	}
+	for _, st := range stages.Snapshot() {
+		if st.Count > 0 {
+			out[st.Name] = StatEntry{Count: st.Count, SumSeconds: st.Sum.Seconds(), AvgSeconds: st.Avg().Seconds()}
+		}
+	}
+	return out
 }
 
 // WriteTo renders the Prometheus text exposition.
@@ -296,7 +231,6 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		count("schemaevod_store_corrupt_total", "Snapshots rejected as corrupt and degraded to a cold pipeline run.", s.StoreCorrupt),
 		count("schemaevod_store_saves_total", "Write-behind snapshot saves that reached the store.", s.StoreSaves),
 		count("schemaevod_artifact_memo_hits_total", "Artifacts served from the per-seed render memo.", s.MemoHits),
-		count("schemaevod_legacy_requests_total", "Hits on deprecated pre-/v1 routes.", s.LegacyRequests),
 		count("schemaevo_store_gc_runs_total", "Store retention/orphan sweeps completed.", s.GCRuns),
 		count("schemaevo_store_gc_evicted_snapshots_total", "Snapshots evicted by the retention policy.", s.GCEvicted),
 		count("schemaevo_store_gc_orphan_blobs_total", "Unreferenced blobs collected by the GC sweep.", s.GCOrphanBlobs),
@@ -323,7 +257,7 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		exps = append(exps, k)
 	}
 	sort.Strings(exps)
-	hists := make([]*histogram, len(exps))
+	hists := make([]*obs.Histogram, len(exps))
 	for i, k := range exps {
 		hists[i] = m.latencyByExp[k]
 	}
@@ -337,21 +271,8 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	for i, exp := range exps {
-		h := hists[i]
-		var cum int64
-		for bi, ub := range latencyBuckets {
-			cum += h.counts[bi].Load()
-			written, err := fmt.Fprintf(w, "schemaevod_experiment_latency_seconds_bucket{experiment=%q,le=%q} %d\n",
-				exp, fmt.Sprintf("%g", ub), cum)
-			n += int64(written)
-			if err != nil {
-				return n, err
-			}
-		}
-		cum += h.counts[len(latencyBuckets)].Load()
-		written, err := fmt.Fprintf(w, "schemaevod_experiment_latency_seconds_bucket{experiment=%q,le=\"+Inf\"} %d\nschemaevod_experiment_latency_seconds_sum{experiment=%q} %g\nschemaevod_experiment_latency_seconds_count{experiment=%q} %d\n",
-			exp, cum, exp, time.Duration(h.sum.Load()).Seconds(), exp, h.total.Load())
-		n += int64(written)
+		written, err := hists[i].WritePrometheus(w, "schemaevod_experiment_latency_seconds", fmt.Sprintf("experiment=%q", exp))
+		n += written
 		if err != nil {
 			return n, err
 		}

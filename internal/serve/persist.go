@@ -2,124 +2,88 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
 	"github.com/schemaevo/schemaevo/internal/obs"
-	"github.com/schemaevo/schemaevo/internal/store"
-	"github.com/schemaevo/schemaevo/internal/study"
 )
 
 // This file wires the persistence subsystem (internal/store) into the
 // serving layer as a read-through / write-behind cache tier under the LRU:
 //
-//   - read-through: a seed missing from the LRU is first looked up in the
-//     store; a verified snapshot restores the full artifact memo without a
-//     pipeline run (the warm-restart path).
-//   - write-behind: every completed pipeline run schedules an asynchronous
-//     snapshot save — all artifacts are rendered once and persisted, so the
-//     next daemon generation serves this seed from disk.
+//   - read-through: a resource missing from the LRU is first looked up in
+//     its store; a verified snapshot restores the full artifact memo without
+//     a run (the warm-restart path — see resource.restore).
+//   - write-behind: every completed run schedules an asynchronous snapshot
+//     save, so the next daemon generation serves the resource from disk.
 //
 // A corrupt snapshot is counted, logged, and treated as a miss: the request
 // degrades to a cold run whose write-behind replaces the damaged entry.
 
-// restoreSnapshot attempts the store read-through for a seed not yet in the
-// cache. Concurrent callers collapse onto one disk load. It never fails the
-// request: every store error degrades to "not restored".
-func (s *Server) restoreSnapshot(ctx context.Context, seed int64) {
-	if s.opts.Store == nil || s.cache.Has(seed) {
-		return
-	}
-	s.loads.Do(seed, func() (any, error) {
-		if s.cache.Has(seed) { // restored (or run) while we queued on the flight
-			return nil, nil
-		}
-		lctx := obs.WithTracer(ctx, s.tracer)
-		snap, err := s.opts.Store.Get(lctx, seed)
-		switch {
-		case err == nil:
-			s.metrics.storeHits.Add(1)
-			s.cache.InstallSnapshot(seed, snap.Artifacts)
-			s.opts.Logger.Info("snapshot restored from store",
-				"seed", seed, "artifacts", len(snap.Artifacts), "saved_at", snap.SavedAt)
-		case errors.Is(err, store.ErrNotFound):
-			s.metrics.storeMisses.Add(1)
-		default:
-			// Corruption or I/O damage: degrade to a cold run, never fail.
-			s.metrics.storeCorrupt.Add(1)
-			s.opts.Logger.Warn("store snapshot unusable; falling back to pipeline",
-				"seed", seed, "err", err)
-		}
-		return nil, nil
-	})
-}
-
-// schedulePersist queues the write-behind for a freshly completed pipeline
-// run. The persisting mark is in-flight dedup only — at most one save per
-// seed runs at a time — and is cleared when the save finishes, win or lose.
-// Clearing on success matters: a snapshot later damaged on disk or evicted
-// by the retention GC must be re-persistable by the next run within the same
+// schedulePersist queues the write-behind for a freshly completed run. The
+// persisting mark is in-flight dedup only — at most one save per key runs at
+// a time — and is cleared when the save finishes, win or lose. Clearing on
+// success matters: a snapshot later damaged on disk or evicted by the
+// retention GC must be re-persistable by the next run within the same
 // daemon generation, or the degrade-and-replace contract above breaks.
-func (s *Server) schedulePersist(seed int64, st *study.Study) {
-	if s.opts.Store == nil {
+func (r *resource[K, V]) schedulePersist(id K, v V) {
+	if r.store == nil {
 		return
 	}
-	s.persistMu.Lock()
-	if s.persisting[seed] {
-		s.persistMu.Unlock()
+	key := r.Key(id)
+	r.mu.Lock()
+	if r.persisting[key] {
+		r.mu.Unlock()
 		return
 	}
-	s.persisting[seed] = true
-	s.persistMu.Unlock()
+	r.persisting[key] = true
+	r.mu.Unlock()
 
-	s.persistWG.Add(1)
+	r.srv.persistWG.Add(1)
 	go func() {
-		defer s.persistWG.Done()
-		err := s.persistStudy(seed, st)
-		s.persistMu.Lock()
-		delete(s.persisting, seed)
-		s.persistMu.Unlock()
+		defer r.srv.persistWG.Done()
+		err := r.persist(id, v)
+		r.mu.Lock()
+		delete(r.persisting, key)
+		r.mu.Unlock()
 		if err != nil {
-			s.opts.Logger.Error("snapshot save failed", "seed", seed, "err", err)
+			r.srv.opts.Logger.Error("snapshot save failed", r.Name, r.Format(id), "err", err)
 			return
 		}
-		s.metrics.storeSaves.Add(1)
+		r.srv.metrics.storeSaves.Add(1)
 	}()
 }
 
-// persistStudy renders the study's complete artifact set and writes the
-// snapshot. The render also warms the artifact memo of the seed's cache
-// entry (if it is still resident), so the renders are paid once. A panic in
-// an experiment driver is contained here — persistence must never take the
-// daemon down.
-func (s *Server) persistStudy(seed int64, st *study.Study) (err error) {
+// persist builds the run's snapshot and writes it. The snapshot's artifacts
+// also warm the memo of the cache entry (if it is still resident), so a
+// seed's renders are paid once. A panic in a renderer is contained here —
+// persistence must never take the daemon down.
+func (r *resource[K, V]) persist(id K, v V) (err error) {
 	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("render panicked: %v", r)
+		if p := recover(); p != nil {
+			err = fmt.Errorf("render panicked: %v", p)
 		}
 	}()
 	// Deliberately detached from any request context: the save belongs to
 	// the daemon, not to the request that happened to trigger the run.
-	ctx := obs.WithTracer(context.Background(), s.tracer)
-	ctx = obs.WithLogger(ctx, s.opts.Logger)
+	ctx := obs.WithTracer(context.Background(), r.srv.tracer)
+	ctx = obs.WithLogger(ctx, r.srv.opts.Logger)
 	start := time.Now()
-	arts, err := s.render(ctx, st)
+	snap, err := r.snapshot(ctx, v)
 	if err != nil {
 		return err
 	}
-	s.cache.MergeArtifacts(seed, arts)
-	snap := &store.Snapshot{
-		Seed:      seed,
-		SavedAt:   time.Now().UTC(),
-		Summary:   st.Summary(),
-		Artifacts: arts,
+	key := r.Key(id)
+	r.cache.MergeArtifacts(key, snap.Artifacts)
+	snap.Seed, snap.SavedAt = key, time.Now().UTC()
+	if r.Addressed {
+		snap.ID = r.Format(id)
 	}
-	if err := s.opts.Store.Put(ctx, seed, snap); err != nil {
+	if err := r.store.Put(ctx, key, snap); err != nil {
 		return err
 	}
-	s.opts.Logger.Info("snapshot saved to store",
-		"seed", seed, "artifacts", len(arts), "took", time.Since(start).Round(time.Millisecond))
+	r.srv.opts.Logger.Info("snapshot saved to store", r.Name, r.Format(id),
+		"artifacts", len(snap.Artifacts), "took", time.Since(start).Round(time.Millisecond))
 	return nil
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/schemaevo/schemaevo/internal/ingest"
 	"github.com/schemaevo/schemaevo/internal/store"
 	"github.com/schemaevo/schemaevo/internal/study"
 )
@@ -165,9 +167,39 @@ func copyStore(t *testing.T, src string) string {
 	return dst
 }
 
+// populatedHistoryStore builds a disk store holding one ingested history's
+// snapshot, written through the real write-behind, and returns its
+// directory and the upload.
+func populatedHistoryStore(t *testing.T) (string, *ingest.Upload) {
+	t.Helper()
+	dir := t.TempDir()
+	d, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Options{HistoryStore: d})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	body := historyUpload(7)
+	if code, raw := postHistory(t, ts, body, "application/json"); code != http.StatusCreated {
+		t.Fatalf("populating POST: %d: %s", code, raw)
+	}
+	srv.SyncStore()
+	if s := srv.Metrics().Snapshot(); s.StoreSaves != 1 {
+		t.Fatalf("store_saves = %d, want 1", s.StoreSaves)
+	}
+	up, err := ingest.Prepare("application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dir, up
+}
+
 // TestStoreFaultDegrades: damaged snapshot blobs must never surface as an
-// error or a crash — the daemon counts the corruption, falls back to a cold
-// pipeline run, and still serves the correct bytes.
+// error or a crash — the daemon counts the corruption, falls back to a
+// fresh run, and still serves the correct bytes. A seed degrades to a cold
+// pipeline run on its next GET; a history, whose run needs the upload body,
+// on its next re-upload.
 func TestStoreFaultDegrades(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline run")
@@ -176,44 +208,20 @@ func TestStoreFaultDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name    string
-		corrupt func(b []byte) []byte
+	histDir, up := populatedHistoryStore(t)
+	res, err := ingest.Run(context.Background(), up)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantProfile := string(res.Artifacts[ingest.ArtifactProfile])
+
+	kinds := []struct {
+		prefix string // subtest name prefix; seeds keep the bare corruption names
+		dir    func(t *testing.T) string
+		// degrade serves the damaged store and checks the degraded answer.
+		degrade func(t *testing.T, d store.Store) *Server
 	}{
-		{"bit-flip", func(b []byte) []byte {
-			if len(b) > 0 {
-				b[len(b)/2] ^= 0x01
-			}
-			return b
-		}},
-		{"truncate", func(b []byte) []byte { return b[:len(b)/2] }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := copyStore(t, openPopulated(t))
-			// Damage every blob so the restore fails no matter which blob the
-			// loader reads first.
-			objects := filepath.Join(dir, "objects")
-			des, err := os.ReadDir(objects)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(des) == 0 {
-				t.Fatal("populated store has no objects")
-			}
-			for _, de := range des {
-				path := filepath.Join(objects, de.Name())
-				b, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, tc.corrupt(b), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			d, err := store.Open(dir)
-			if err != nil {
-				t.Fatalf("Open must tolerate damaged blobs, got %v", err)
-			}
+		{"", openPopulated, func(t *testing.T, d store.Store) *Server {
 			var runs atomic.Int64
 			srv := New(Options{Store: d, Runner: RunnerFunc(func(context.Context, int64) (*study.Study, error) {
 				runs.Add(1)
@@ -221,7 +229,6 @@ func TestStoreFaultDegrades(t *testing.T) {
 			})})
 			ts := httptest.NewServer(srv)
 			defer ts.Close()
-
 			code, body, _ := get(t, ts, "/v1/seeds/1/artifacts/funnel")
 			if code != 200 {
 				t.Fatalf("corrupt store must degrade to a cold run, got status %d: %.120s", code, body)
@@ -232,14 +239,72 @@ func TestStoreFaultDegrades(t *testing.T) {
 			if n := runs.Load(); n != 1 {
 				t.Errorf("pipeline runs = %d, want exactly 1 (the degrade)", n)
 			}
-			s := srv.Metrics().Snapshot()
-			if s.StoreCorrupt != 1 {
-				t.Errorf("store_corrupt = %d, want 1", s.StoreCorrupt)
+			return srv
+		}},
+		{"history-", func(*testing.T) string { return histDir }, func(t *testing.T, d store.Store) *Server {
+			srv := New(Options{HistoryStore: d})
+			ts := httptest.NewServer(srv)
+			defer ts.Close()
+			code, raw := postHistory(t, ts, historyUpload(7), "application/json")
+			if code != http.StatusCreated {
+				t.Fatalf("corrupt store must degrade to a fresh ingest run, got status %d: %.120s", code, raw)
 			}
-			if s.StoreHits != 0 {
-				t.Errorf("store_hits = %d, want 0", s.StoreHits)
+			code, body, _ := get(t, ts, "/v1/histories/"+up.ID+"/artifacts/profile.json")
+			if code != 200 || body != wantProfile {
+				t.Errorf("fresh-run fallback: status %d, profile matches ingest.Run: %t", code, body == wantProfile)
 			}
-		})
+			srv.SyncStore() // the re-persist writes into the test's temp dir
+			return srv
+		}},
+	}
+	for _, kind := range kinds {
+		for _, tc := range []struct {
+			name    string
+			corrupt func(b []byte) []byte
+		}{
+			{"bit-flip", func(b []byte) []byte {
+				if len(b) > 0 {
+					b[len(b)/2] ^= 0x01
+				}
+				return b
+			}},
+			{"truncate", func(b []byte) []byte { return b[:len(b)/2] }},
+		} {
+			t.Run(kind.prefix+tc.name, func(t *testing.T) {
+				dir := copyStore(t, kind.dir(t))
+				// Damage every blob so the restore fails no matter which blob
+				// the loader reads first.
+				objects := filepath.Join(dir, "objects")
+				des, err := os.ReadDir(objects)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(des) == 0 {
+					t.Fatal("populated store has no objects")
+				}
+				for _, de := range des {
+					path := filepath.Join(objects, de.Name())
+					b, err := os.ReadFile(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := os.WriteFile(path, tc.corrupt(b), 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				d, err := store.Open(dir)
+				if err != nil {
+					t.Fatalf("Open must tolerate damaged blobs, got %v", err)
+				}
+				s := kind.degrade(t, d).Metrics().Snapshot()
+				if s.StoreCorrupt != 1 {
+					t.Errorf("store_corrupt = %d, want 1", s.StoreCorrupt)
+				}
+				if s.StoreHits != 0 {
+					t.Errorf("store_hits = %d, want 0", s.StoreHits)
+				}
+			})
+		}
 	}
 }
 
@@ -273,8 +338,8 @@ func TestPrewarmRestoresFromStore(t *testing.T) {
 	if err := srv.Prewarm(ctx, []int64{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	if srv.cache.Len() != 2 {
-		t.Errorf("cache holds %d seeds, want 2", srv.cache.Len())
+	if srv.seeds.cache.Len() != 2 {
+		t.Errorf("cache holds %d seeds, want 2", srv.seeds.cache.Len())
 	}
 	s := srv.Metrics().Snapshot()
 	if s.StoreHits != 2 || s.PipelineRuns != 0 {
@@ -315,8 +380,8 @@ func TestPrewarmParallel(t *testing.T) {
 	if runs.Load() != seeds {
 		t.Errorf("runs = %d, want %d", runs.Load(), seeds)
 	}
-	if srv.cache.Len() != seeds {
-		t.Errorf("cache = %d seeds, want %d", srv.cache.Len(), seeds)
+	if srv.seeds.cache.Len() != seeds {
+		t.Errorf("cache = %d seeds, want %d", srv.seeds.cache.Len(), seeds)
 	}
 	if peak.Load() < 2 {
 		t.Errorf("peak concurrent runs = %d — prewarm did not parallelize", peak.Load())
@@ -374,8 +439,8 @@ func TestMemoHitMetric(t *testing.T) {
 	}
 }
 
-// TestV1ErrorEnvelope: /v1 errors are the uniform JSON envelope; the legacy
-// generation keeps its plain-text errors.
+// TestV1ErrorEnvelope: /v1 errors are the uniform JSON envelope; a removed
+// legacy route falls through to the mux's plain-text 404.
 func TestV1ErrorEnvelope(t *testing.T) {
 	srv := New(Options{Runner: RunnerFunc(func(_ context.Context, seed int64) (*study.Study, error) {
 		return &study.Study{Seed: seed}, nil
@@ -430,9 +495,9 @@ func TestV1ErrorEnvelope(t *testing.T) {
 	})
 }
 
-// TestLegacyDeprecation: every pre-/v1 route still works, carries the
-// Deprecation + successor Link headers, and bumps the legacy counter.
-func TestLegacyDeprecation(t *testing.T) {
+// TestLegacyRoutesRemoved: the pre-/v1 aliases are gone — each answers
+// the mux's 404 — and so is their hit counter.
+func TestLegacyRoutesRemoved(t *testing.T) {
 	m := store.NewMem()
 	if err := m.Put(context.Background(), 1, fakeSnapshot(1)); err != nil {
 		t.Fatal(err)
@@ -442,40 +507,13 @@ func TestLegacyDeprecation(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	legacy := []struct{ path, successor string }{
-		{"/v1/study/1/funnel", "/v1/seeds/{seed}/artifacts/{key}"},
-		{"/v1/study/1/figures/f1.svg", "/v1/seeds/{seed}/figures/{name}"},
-		{"/healthz", "/v1/healthz"},
-		{"/metrics", "/v1/metrics"},
-	}
-	for _, lc := range legacy {
-		code, _, hdr := get(t, ts, lc.path)
-		if code != 200 {
-			t.Errorf("%s: status %d", lc.path, code)
-		}
-		if hdr.Get("Deprecation") == "" {
-			t.Errorf("%s: no Deprecation header", lc.path)
-		}
-		if link := hdr.Get("Link"); !strings.Contains(link, lc.successor) || !strings.Contains(link, "successor-version") {
-			t.Errorf("%s: Link = %q, want successor %s", lc.path, link, lc.successor)
+	for _, path := range []string{"/v1/study/1/funnel", "/healthz", "/metrics", "/debug/trace?seed=1"} {
+		if code, _, _ := get(t, ts, path); code != http.StatusNotFound {
+			t.Errorf("%s: status %d, want 404", path, code)
 		}
 	}
-	if n := srv.Metrics().Snapshot().LegacyRequests; n != int64(len(legacy)) {
-		t.Errorf("legacy_requests = %d, want %d", n, len(legacy))
-	}
-
-	// The canonical routes carry no deprecation marker.
-	for _, path := range []string{"/v1/seeds/1/artifacts/funnel", "/v1/healthz", "/v1/metrics", "/v1/seeds"} {
-		code, _, hdr := get(t, ts, path)
-		if code != 200 {
-			t.Errorf("%s: status %d", path, code)
-		}
-		if hdr.Get("Deprecation") != "" {
-			t.Errorf("%s: unexpectedly deprecated", path)
-		}
-	}
-	if body := func() string { _, b, _ := get(t, ts, "/metrics"); return b }(); !strings.Contains(body, "schemaevod_legacy_requests_total") {
-		t.Error("metrics exposition missing schemaevod_legacy_requests_total")
+	if _, body, _ := get(t, ts, "/v1/metrics"); strings.Contains(body, "schemaevod_legacy_requests_total") {
+		t.Error("metrics exposition still carries schemaevod_legacy_requests_total")
 	}
 }
 

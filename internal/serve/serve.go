@@ -9,9 +9,9 @@
 //
 // # API versioning
 //
-// The canonical surface lives under /v1, a unified resource model with two
-// resource collections — the built-in corpus seeds and user-ingested DDL
-// histories — sharing one route shape:
+// The whole surface lives under /v1 (plus the stdlib /debug/pprof/ tree):
+// a unified resource model with two resource collections — the built-in
+// corpus seeds and user-ingested DDL histories — sharing one route shape:
 //
 //	POST /v1/histories                          ingest a DDL history upload
 //	GET  /v1/{seeds|histories}                  list (?limit=&cursor= paginates)
@@ -26,26 +26,18 @@
 //	GET  /v1/debug/stats                        latency/stage histogram join
 //	GET  /v1/debug/events                       SSE firehose of all span events
 //
-// Errors on /v1 routes use a uniform JSON envelope {error, code, resource,
-// id}; seed routes additionally keep the pre-redesign seed field. The
-// original flat routes (/healthz, /metrics, /debug/trace,
-// /v1/study/{seed}/...) remain as deprecated aliases: same behaviour and
-// plain-text errors, plus a Deprecation header and a hit counter
-// (schemaevod_legacy_requests_total).
+// Errors use a uniform JSON envelope {error, code, resource, id}; seed
+// routes additionally keep the pre-redesign seed field.
 package serve
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net"
 	"net/http"
 	"runtime"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -121,39 +113,20 @@ type Options struct {
 // Server serves cached studies over HTTP. Create with New; the type is an
 // http.Handler.
 type Server struct {
-	opts    Options
-	cache   *resourceCache[*study.Study] // seed-keyed studies
-	flight  *flightGroup                 // one pipeline run per seed
-	loads   *flightGroup                 // one store restore per seed
-	metrics *Metrics
-	tracer  *obs.Tracer // metrics-only: feeds stage histograms, retains no spans
-	bus     *obs.Bus    // live span events for the SSE endpoints
-	mux     *http.ServeMux
-
-	// The ingested-history namespace mirrors the seed machinery 1:1, keyed
-	// by the 64-bit truncation of the history's content address: its own
-	// LRU, ingest singleflight, restore singleflight, and id registry (the
-	// truncated key → full hex identity map behind listings and snapshot
-	// verification).
-	histories    *resourceCache[*ingest.Result]
-	ingestFlight *flightGroup
-	historyLoads *flightGroup
-	idMu         sync.Mutex
-	historyIDs   map[int64]string
-
-	persistMu      sync.Mutex
-	persisting     map[int64]bool
-	persistingHist map[int64]bool
-	persistWG      sync.WaitGroup
+	opts      Options
+	seeds     *resource[int64, *study.Study]    // built-in corpus seeds
+	histories *resource[string, *ingest.Result] // ingested DDL histories
+	metrics   *Metrics
+	tracer    *obs.Tracer // metrics-only: feeds stage histograms, retains no spans
+	bus       *obs.Bus    // live span events for the SSE endpoints
+	mux       *http.ServeMux
+	persistWG sync.WaitGroup // write-behind saves in flight, both kinds
 
 	// render produces a study's complete artifact set for the write-behind.
 	// It is renderAll in production; tests substitute a stub so persistence
 	// mechanics can be exercised without paying for real renders.
 	render func(ctx context.Context, st *study.Study) (map[string][]byte, error)
 }
-
-// deprecationDate is the RFC 9745 Deprecation value sent on legacy routes.
-var deprecationDate = "@1767225600" // 2026-01-01T00:00:00Z
 
 // New builds a Server from opts.
 func New(opts Options) *Server {
@@ -177,53 +150,21 @@ func New(opts Options) *Server {
 	if opts.MaxUploadBytes <= 0 {
 		opts.MaxUploadBytes = DefaultMaxUploadBytes
 	}
-	s := &Server{
-		opts:           opts,
-		metrics:        NewMetrics(),
-		flight:         newFlightGroup(),
-		loads:          newFlightGroup(),
-		ingestFlight:   newFlightGroup(),
-		historyLoads:   newFlightGroup(),
-		historyIDs:     map[int64]string{},
-		persisting:     map[int64]bool{},
-		persistingHist: map[int64]bool{},
-		render:         renderAll,
-	}
-	s.cache = newStudyCache(opts.CacheSize, s.metrics)
-	s.histories = newHistoryCache(opts.CacheSize, s.metrics)
-	s.bus = obs.NewBus()
+	s := &Server{opts: opts, metrics: NewMetrics(), render: renderAll, bus: obs.NewBus()}
+	s.seeds, s.histories = newSeeds(s), newHistories(s)
 	// The shared tracer covers render-time spans (experiment.<key>); its
-	// events are unkeyed (seed 0) and reach only the firehose. Pipeline runs
-	// get per-run tracers with the seed stamped on — see getStudy.
+	// events are unkeyed (seed 0) and reach only the firehose. Runs get
+	// per-run tracers with their key stamped on — see runContext.
 	s.tracer = obs.NewTracer(obs.Options{Stages: s.metrics.stages, Logger: opts.Logger, Bus: s.bus})
 
 	mux := http.NewServeMux()
-	// Canonical /v1 surface: two instances of the unified resource model,
-	// sharing the JSON error envelope.
-	mountResource(mux, resourceRoutes{
-		plural:   "seeds",
-		list:     s.handleSeeds,
-		get:      s.handleSeedResource,
-		artifact: s.handleArtifact(true),
-		events:   s.handleSeedEvents,
-	})
-	mountResource(mux, resourceRoutes{
-		plural:   "histories",
-		create:   s.handleIngest,
-		list:     s.handleHistories,
-		get:      s.handleHistoryResource,
-		artifact: s.handleHistoryArtifact,
-		events:   s.handleHistoryEvents,
-	})
-	mux.HandleFunc("GET /v1/seeds/{id}/figures/{name}", s.handleFigure(true))
+	s.seeds.mount(mux, s.handleArtifact)
+	mux.HandleFunc("GET /v1/seeds/{id}/figures/{name}", s.handleFigure)
+	s.histories.mount(mux, s.handleHistoryArtifact)
+	mux.HandleFunc("POST /v1/histories", s.handleIngest)
 	mux.HandleFunc("GET /v1/experiments", s.handleExperiments)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealth)
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
-	// Deprecated flat aliases: original behaviour, plain-text errors.
-	mux.HandleFunc("GET /v1/study/{seed}/{key}", s.legacy("/v1/seeds/{seed}/artifacts/{key}", s.handleArtifact(false)))
-	mux.HandleFunc("GET /v1/study/{seed}/figures/{name}", s.legacy("/v1/seeds/{seed}/figures/{name}", s.handleFigure(false)))
-	mux.HandleFunc("GET /healthz", s.legacy("/v1/healthz", s.handleHealth))
-	mux.HandleFunc("GET /metrics", s.legacy("/v1/metrics", s.handleMetrics))
 	registerDebug(mux, s)
 	s.mux = mux
 	return s
@@ -233,31 +174,20 @@ func New(opts Options) *Server {
 // reporting.
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// legacy wraps a deprecated flat route: hits are counted and the response
-// advertises the successor under /v1 (RFC 9745 Deprecation header).
-func (s *Server) legacy(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.metrics.legacyRequests.Add(1)
-		w.Header().Set("Deprecation", deprecationDate)
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h(w, r)
-	}
-}
-
-// statusRecorder captures the response code for the error counter.
-type statusRecorder struct {
+// StatusRecorder captures the response code for the error counter.
+type StatusRecorder struct {
 	http.ResponseWriter
-	status int
+	Status int
 }
 
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
+func (r *StatusRecorder) WriteHeader(code int) {
+	r.Status = code
 	r.ResponseWriter.WriteHeader(code)
 }
 
-// Flush forwards to the wrapped writer so the SSE endpoints can stream
-// through the recorder.
-func (r *statusRecorder) Flush() {
+// Flush forwards to the wrapped writer so event streams can flow through
+// the recorder.
+func (r *StatusRecorder) Flush() {
 	if fl, ok := r.ResponseWriter.(http.Flusher); ok {
 		fl.Flush()
 	}
@@ -273,89 +203,34 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer s.metrics.inflight.Add(-1)
 
 	ctx := r.Context()
-	if !isEventStreamPath(r.URL.Path) {
+	if !IsEventStreamPath(r.URL.Path) {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.opts.Timeout)
 		defer cancel()
 	}
 
-	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+	rec := &StatusRecorder{ResponseWriter: w, Status: http.StatusOK}
 	s.mux.ServeHTTP(rec, r.WithContext(ctx))
-	if rec.status >= 400 {
+	if rec.Status >= 400 {
 		s.metrics.errors.Add(1)
 	}
 }
 
-// getStudy resolves one seed to a live study: cache hit, join of an
-// in-flight run, or a fresh pipeline execution. The context only bounds this
-// caller's wait — a pipeline run that loses its caller still completes,
-// fills the cache, and schedules its snapshot save.
-func (s *Server) getStudy(ctx context.Context, seed int64) (*study.Study, error) {
-	if st, ok := s.cache.Get(seed); ok {
-		s.metrics.cacheHits.Add(1)
-		return st, nil
-	}
-	s.metrics.cacheMisses.Add(1)
-	ch := s.flight.DoChan(seed, func() (any, error) {
-		// Re-check under the flight: a run that completed between this
-		// caller's cache miss and its flight creation has already filled the
-		// cache, and must not trigger a second pipeline execution.
-		if st, ok := s.cache.Get(seed); ok {
-			return st, nil
-		}
-		s.metrics.pipelineRuns.Add(1)
-		s.metrics.pipelineInflight.Add(1)
-		defer s.metrics.pipelineInflight.Add(-1)
-		// The run is deliberately detached from the request context: a caller
-		// that times out must not cancel the pipeline, whose result still
-		// fills the cache. A per-run tracer feeds the shared stage registry
-		// like before and additionally stamps the seed on every live event,
-		// so SSE watchers of this seed see the run's stages as they happen.
-		runTracer := obs.NewTracer(obs.Options{
-			Stages: s.metrics.stages, Logger: s.opts.Logger, Bus: s.bus, Seed: seed,
-		})
-		runCtx := obs.WithTracer(context.Background(), runTracer)
-		runCtx = obs.WithLogger(runCtx, s.opts.Logger)
-		st, err := s.opts.Runner.Run(runCtx, seed)
-		if err != nil {
-			return nil, err
-		}
-		s.cache.Put(seed, st)
-		s.schedulePersist(seed, st)
-		return st, nil
-	})
-	select {
-	case <-ctx.Done():
-		s.metrics.timeouts.Add(1)
-		if s.flight.Inflight(seed) {
-			// The waiter gives up but the run keeps going: an orphaned run.
-			s.metrics.orphanedRuns.Add(1)
-			s.opts.Logger.Warn("request abandoned in-flight pipeline run", "seed", seed)
-		}
-		return nil, ctx.Err()
-	case res := <-ch:
-		if res.Shared {
-			s.metrics.flightJoins.Add(1)
-		}
-		if res.Err != nil {
-			return nil, res.Err
-		}
-		return res.Val.(*study.Study), nil
-	}
+// runPipeline is the seed kind's run: one pipeline execution through the
+// configured Runner, counted in the pipeline gauges.
+func (s *Server) runPipeline(ctx context.Context, seed int64) (*study.Study, error) {
+	s.metrics.pipelineRuns.Add(1)
+	s.metrics.pipelineInflight.Add(1)
+	defer s.metrics.pipelineInflight.Add(-1)
+	return s.opts.Runner.Run(ctx, seed)
 }
 
-// ensureSeed makes a seed servable warm: already cached, restored from the
-// store, or — as the last resort — computed by the pipeline.
-func (s *Server) ensureSeed(ctx context.Context, seed int64) error {
-	if s.cache.Has(seed) {
-		return nil
-	}
-	s.restoreSnapshot(ctx, seed)
-	if s.cache.Has(seed) {
-		return nil
-	}
-	_, err := s.getStudy(ctx, seed)
-	return err
+// runContext is the detached context of one run: a per-run tracer feeds the
+// shared stage registry like the server's own and additionally stamps key
+// on every live event, so SSE watchers see the run's stages as they happen.
+func (s *Server) runContext(key int64) context.Context {
+	tr := obs.NewTracer(obs.Options{Stages: s.metrics.stages, Logger: s.opts.Logger, Bus: s.bus, Seed: key})
+	return obs.WithLogger(obs.WithTracer(context.Background(), tr), s.opts.Logger)
 }
 
 // Prewarm makes the given seeds servable ahead of traffic using a bounded
@@ -378,7 +253,7 @@ func (s *Server) Prewarm(ctx context.Context, seeds []int64) error {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			start := time.Now()
-			if err := s.ensureSeed(ctx, seed); err != nil {
+			if err := s.seeds.ensure(ctx, seed); err != nil {
 				errs[i] = fmt.Errorf("serve: prewarm seed %d: %w", seed, err)
 				return
 			}
@@ -403,183 +278,10 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// parseSeed reads the seed from the path: {id} on the unified resource
-// routes, {seed} on the legacy aliases.
-func parseSeed(r *http.Request) (int64, error) {
-	raw := r.PathValue("id")
-	if raw == "" {
-		raw = r.PathValue("seed")
-	}
-	seed, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("seed must be an integer, got %q", raw)
-	}
-	return seed, nil
-}
-
-// respondError writes one error either as the /v1 JSON envelope or in the
-// legacy plain-text form, depending on the route generation. A non-zero
-// seed stamps the resource-model fields alongside the legacy seed field.
-func respondError(w http.ResponseWriter, jsonErr bool, code int, msg string, seed int64) {
-	if !jsonErr {
-		http.Error(w, msg, code)
-		return
-	}
-	env := errEnvelope{Error: msg, Code: code, Seed: seed}
-	if seed != 0 {
-		env.Resource = "seed"
-		env.ID = strconv.FormatInt(seed, 10)
-	}
-	writeEnvelope(w, env)
-}
-
-// failErr maps a resolution error to the right status for either route
-// generation.
-func failErr(w http.ResponseWriter, jsonErr bool, seed int64, err error) {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		respondError(w, jsonErr, http.StatusGatewayTimeout,
-			"study run exceeded the request deadline; retry — the run continues and will be cached", seed)
-	case errors.Is(err, context.Canceled):
-		respondError(w, jsonErr, 499, "request canceled", seed) // nginx-style client-closed-request
-	default:
-		respondError(w, jsonErr, http.StatusInternalServerError, err.Error(), seed)
-	}
-}
-
-// handleArtifact serves one whole-study artifact — the three exports or any
-// experiment key — on both route generations.
-func (s *Server) handleArtifact(jsonErr bool) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		key := r.PathValue("key")
-		if !knownArtifact(key) {
-			respondError(w, jsonErr, http.StatusNotFound,
-				fmt.Sprintf("unknown artifact %q; experiment keys are listed at /v1/experiments", key), 0)
-			return
-		}
-		seed, err := parseSeed(r)
-		if err != nil {
-			respondError(w, jsonErr, http.StatusBadRequest, err.Error(), 0)
-			return
-		}
-		start := time.Now()
-		if streamableArtifact(key) {
-			s.serveStreamedArtifact(r.Context(), w, jsonErr, seed, key)
-			s.metrics.ObserveLatency(key, time.Since(start))
-			return
-		}
-		b, err := s.artifactBytes(r.Context(), seed, key)
-		if err != nil {
-			failErr(w, jsonErr, seed, err)
-			return
-		}
-		w.Header().Set("Content-Type", contentTypeFor(key))
-		w.Write(b)
-		s.metrics.ObserveLatency(key, time.Since(start))
-	}
-}
-
-// handleFigure serves one SVG figure on both route generations.
-func (s *Server) handleFigure(jsonErr bool) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		name := r.PathValue("name")
-		if !strings.HasSuffix(name, ".svg") {
-			respondError(w, jsonErr, http.StatusNotFound, "figure names end in .svg", 0)
-			return
-		}
-		seed, err := parseSeed(r)
-		if err != nil {
-			respondError(w, jsonErr, http.StatusBadRequest, err.Error(), 0)
-			return
-		}
-		start := time.Now()
-		svg, ok, err := s.figureBytes(r.Context(), seed, name)
-		if err != nil {
-			failErr(w, jsonErr, seed, err)
-			return
-		}
-		if !ok {
-			respondError(w, jsonErr, http.StatusNotFound, fmt.Sprintf("unknown figure %q", name), seed)
-			return
-		}
-		w.Header().Set("Content-Type", "image/svg+xml")
-		w.Write(svg)
-		s.metrics.ObserveLatency("figures", time.Since(start))
-	}
-}
-
 // handleExperiments lists the experiment keys the artifact endpoint accepts.
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(study.ExperimentKeys())
-}
-
-// handleSeeds reports which seeds are warm (cached, most recent first) and
-// which are durable in the store. With ?limit= or ?cursor= the response
-// switches to one paginated ascending list of known seeds (cached ∪ stored)
-// plus a next_cursor.
-func (s *Server) handleSeeds(w http.ResponseWriter, r *http.Request) {
-	pr, err := parsePage(r)
-	if err != nil {
-		respondError(w, true, http.StatusBadRequest, err.Error(), 0)
-		return
-	}
-	var stored []int64
-	if s.opts.Store != nil {
-		stored, _ = s.opts.Store.List(r.Context())
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if !pr.paged {
-		resp := map[string]any{"cached": s.cache.Seeds()}
-		if s.opts.Store != nil {
-			resp["stored"] = stored
-		}
-		json.NewEncoder(w).Encode(resp)
-		return
-	}
-	known := map[int64]bool{}
-	for _, seed := range s.cache.Seeds() {
-		known[seed] = true
-	}
-	for _, seed := range stored {
-		known[seed] = true
-	}
-	all := make([]int64, 0, len(known))
-	for seed := range known {
-		all = append(all, seed)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	page, next := pageSeeds(all, pr)
-	json.NewEncoder(w).Encode(map[string]any{"seeds": page, "next_cursor": next})
-}
-
-// handleSeedResource describes one seed in the unified resource model:
-// identity, warmth, durability.
-func (s *Server) handleSeedResource(w http.ResponseWriter, r *http.Request) {
-	seed, err := parseSeed(r)
-	if err != nil {
-		respondError(w, true, http.StatusBadRequest, err.Error(), 0)
-		return
-	}
-	stored := false
-	if s.opts.Store != nil {
-		if seeds, err := s.opts.Store.List(r.Context()); err == nil {
-			for _, st := range seeds {
-				if st == seed {
-					stored = true
-					break
-				}
-			}
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"resource": "seed",
-		"id":       strconv.FormatInt(seed, 10),
-		"seed":     seed,
-		"cached":   s.cache.Has(seed),
-		"stored":   stored,
-	})
 }
 
 // handleHealth reports readiness plus a cache digest and the shard-identity
@@ -600,8 +302,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	body := map[string]any{
 		"status":           status,
-		"cached_seeds":     s.cache.Seeds(),
-		"cached_histories": s.histories.Len(),
+		"cached_seeds":     s.seeds.cache.Seeds(),
+		"cached_histories": s.histories.cache.Len(),
 		"inflight":         s.metrics.inflight.Load(),
 		"snapshot_count":   0,
 		"store_path":       "",

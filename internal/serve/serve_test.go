@@ -54,7 +54,7 @@ func TestEndpoints(t *testing.T) {
 	defer ts.Close()
 
 	t.Run("experiment artifact", func(t *testing.T) {
-		code, body, hdr := get(t, ts, "/v1/study/1/funnel")
+		code, body, hdr := get(t, ts, "/v1/seeds/1/artifacts/funnel")
 		if code != http.StatusOK {
 			t.Fatalf("status %d: %s", code, body)
 		}
@@ -68,7 +68,7 @@ func TestEndpoints(t *testing.T) {
 
 	t.Run("every experiment key serves", func(t *testing.T) {
 		for _, key := range study.ExperimentKeys() {
-			code, body, _ := get(t, ts, "/v1/study/1/"+key)
+			code, body, _ := get(t, ts, "/v1/seeds/1/artifacts/"+key)
 			if code != http.StatusOK || len(body) == 0 {
 				t.Errorf("key %s: status %d, %d bytes", key, code, len(body))
 			}
@@ -76,7 +76,7 @@ func TestEndpoints(t *testing.T) {
 	})
 
 	t.Run("export.csv", func(t *testing.T) {
-		code, body, hdr := get(t, ts, "/v1/study/1/export.csv")
+		code, body, hdr := get(t, ts, "/v1/seeds/1/artifacts/export.csv")
 		if code != http.StatusOK || !strings.Contains(body, "project") {
 			t.Fatalf("status %d: %.120s", code, body)
 		}
@@ -86,7 +86,7 @@ func TestEndpoints(t *testing.T) {
 	})
 
 	t.Run("export.json", func(t *testing.T) {
-		code, body, hdr := get(t, ts, "/v1/study/1/export.json")
+		code, body, hdr := get(t, ts, "/v1/seeds/1/artifacts/export.json")
 		if code != http.StatusOK {
 			t.Fatalf("status %d", code)
 		}
@@ -106,7 +106,7 @@ func TestEndpoints(t *testing.T) {
 	})
 
 	t.Run("report.html", func(t *testing.T) {
-		code, body, hdr := get(t, ts, "/v1/study/1/report.html")
+		code, body, hdr := get(t, ts, "/v1/seeds/1/artifacts/report.html")
 		if code != http.StatusOK || !strings.Contains(body, "<!DOCTYPE html>") {
 			t.Fatalf("status %d: %.60s", code, body)
 		}
@@ -118,7 +118,7 @@ func TestEndpoints(t *testing.T) {
 	t.Run("figures", func(t *testing.T) {
 		st, _ := realStudy()
 		for name := range st.SVGFigures() {
-			code, body, hdr := get(t, ts, "/v1/study/1/figures/"+name)
+			code, body, hdr := get(t, ts, "/v1/seeds/1/figures/"+name)
 			if code != http.StatusOK || !strings.Contains(body, "<svg") {
 				t.Fatalf("figure %s: status %d", name, code)
 			}
@@ -127,10 +127,10 @@ func TestEndpoints(t *testing.T) {
 			}
 			break // one real figure suffices; names are covered below
 		}
-		if code, _, _ := get(t, ts, "/v1/study/1/figures/nope.svg"); code != http.StatusNotFound {
+		if code, _, _ := get(t, ts, "/v1/seeds/1/figures/nope.svg"); code != http.StatusNotFound {
 			t.Errorf("unknown figure: status %d", code)
 		}
-		if code, _, _ := get(t, ts, "/v1/study/1/figures/fig1_panel1_size"); code != http.StatusNotFound {
+		if code, _, _ := get(t, ts, "/v1/seeds/1/figures/fig1_panel1_size"); code != http.StatusNotFound {
 			t.Errorf("non-.svg figure name: status %d", code)
 		}
 	})
@@ -150,27 +150,27 @@ func TestEndpoints(t *testing.T) {
 	})
 
 	t.Run("unknown artifact 404", func(t *testing.T) {
-		code, body, _ := get(t, ts, "/v1/study/1/nope")
+		code, body, _ := get(t, ts, "/v1/seeds/1/artifacts/nope")
 		if code != http.StatusNotFound || !strings.Contains(body, "unknown artifact") {
 			t.Errorf("status %d: %s", code, body)
 		}
 	})
 
 	t.Run("bad seed 400", func(t *testing.T) {
-		if code, _, _ := get(t, ts, "/v1/study/abc/funnel"); code != http.StatusBadRequest {
+		if code, _, _ := get(t, ts, "/v1/seeds/abc/artifacts/funnel"); code != http.StatusBadRequest {
 			t.Errorf("status %d", code)
 		}
 	})
 
 	t.Run("healthz", func(t *testing.T) {
-		code, body, _ := get(t, ts, "/healthz")
+		code, body, _ := get(t, ts, "/v1/healthz")
 		if code != http.StatusOK || !strings.Contains(body, `"status":"ok"`) {
 			t.Errorf("status %d: %s", code, body)
 		}
 	})
 
 	t.Run("metrics", func(t *testing.T) {
-		code, body, _ := get(t, ts, "/metrics")
+		code, body, _ := get(t, ts, "/v1/metrics")
 		if code != http.StatusOK {
 			t.Fatalf("status %d", code)
 		}
@@ -214,7 +214,7 @@ func TestConcurrentRequests(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				seed := 1 + (g+i)%seedCount
-				resp, err := ts.Client().Get(fmt.Sprintf("%s/v1/study/%d/export.csv", ts.URL, seed))
+				resp, err := ts.Client().Get(fmt.Sprintf("%s/v1/seeds/%d/artifacts/export.csv", ts.URL, seed))
 				if err != nil {
 					errs <- err
 					continue
@@ -278,7 +278,7 @@ func TestRequestTimeout(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	code, body, _ := get(t, ts, "/v1/study/9/export.csv")
+	code, body, _ := get(t, ts, "/v1/seeds/9/artifacts/export.csv")
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d: %s", code, body)
 	}
@@ -286,7 +286,7 @@ func TestRequestTimeout(t *testing.T) {
 	// The orphaned flight must finish and cache the study; poll briefly.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if _, ok := srv.cache.Get(9); ok {
+		if _, ok := srv.seeds.cache.Get(9); ok {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -298,7 +298,7 @@ func TestRequestTimeout(t *testing.T) {
 		t.Errorf("timeouts = %d, want 1", got)
 	}
 	// The next request is a pure cache hit.
-	if code, _, _ := get(t, ts, "/v1/study/9/export.csv"); code != http.StatusOK {
+	if code, _, _ := get(t, ts, "/v1/seeds/9/artifacts/export.csv"); code != http.StatusOK {
 		t.Errorf("post-warm status %d", code)
 	}
 }
@@ -310,11 +310,11 @@ func TestRunnerErrorIs500(t *testing.T) {
 	srv := New(Options{Runner: RunnerFunc(runner)})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	code, body, _ := get(t, ts, "/v1/study/1/export.csv")
+	code, body, _ := get(t, ts, "/v1/seeds/1/artifacts/export.csv")
 	if code != http.StatusInternalServerError || !strings.Contains(body, "corpus exploded") {
 		t.Fatalf("status %d: %s", code, body)
 	}
-	if srv.cache.Len() != 0 {
+	if srv.seeds.cache.Len() != 0 {
 		t.Error("failed run must not be cached")
 	}
 	if srv.Metrics().Snapshot().Errors != 1 {
@@ -332,8 +332,8 @@ func TestPrewarm(t *testing.T) {
 	if err := srv.Prewarm(context.Background(), []int64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if runs.Load() != 3 || srv.cache.Len() != 3 {
-		t.Fatalf("runs = %d, cached = %d", runs.Load(), srv.cache.Len())
+	if runs.Load() != 3 || srv.seeds.cache.Len() != 3 {
+		t.Fatalf("runs = %d, cached = %d", runs.Load(), srv.seeds.cache.Len())
 	}
 }
 
@@ -354,7 +354,7 @@ func TestGracefulShutdown(t *testing.T) {
 	url := "http://" + ln.Addr().String()
 	var resp *http.Response
 	for i := 0; i < 50; i++ { // wait for the loop to accept
-		resp, err = http.Get(url + "/healthz")
+		resp, err = http.Get(url + "/v1/healthz")
 		if err == nil {
 			break
 		}

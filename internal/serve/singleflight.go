@@ -1,12 +1,14 @@
 package serve
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
-// flightGroup deduplicates concurrent pipeline runs per seed: the first
+// flightGroup deduplicates concurrent runs per key: the first
 // caller executes fn, every caller that arrives while the run is in flight
 // blocks on the same result. Unlike golang.org/x/sync/singleflight this is
-// specialised to int64 keys and study results, so no interface boxing and
-// no extra dependency.
+// specialised to int64 keys, so no extra dependency.
 type flightGroup struct {
 	mu      sync.Mutex
 	flights map[int64]*flight
@@ -23,7 +25,9 @@ func newFlightGroup() *flightGroup {
 }
 
 // Do executes fn for key, collapsing concurrent calls onto one execution.
-// shared reports whether this caller joined an already in-flight run.
+// shared reports whether this caller joined an already in-flight run. A
+// panic in fn settles the flight like any failure — every caller gets it
+// back as an error, and the next Do for the key runs fn afresh.
 func (g *flightGroup) Do(key int64, fn func() (any, error)) (val any, err error, shared bool) {
 	g.mu.Lock()
 	if f, ok := g.flights[key]; ok {
@@ -35,12 +39,17 @@ func (g *flightGroup) Do(key int64, fn func() (any, error)) (val any, err error,
 	g.flights[key] = f
 	g.mu.Unlock()
 
+	defer func() {
+		if p := recover(); p != nil {
+			f.val, f.err = nil, fmt.Errorf("serve: run for key %d panicked: %v", key, p)
+			val, err = f.val, f.err
+		}
+		g.mu.Lock()
+		delete(g.flights, key)
+		g.mu.Unlock()
+		close(f.done)
+	}()
 	f.val, f.err = fn()
-
-	g.mu.Lock()
-	delete(g.flights, key)
-	g.mu.Unlock()
-	close(f.done)
 	return f.val, f.err, false
 }
 
@@ -55,9 +64,8 @@ func (g *flightGroup) Inflight(key int64) bool {
 
 // Wait returns a channel that closes when the currently in-flight run for
 // key settles (its result already published to the caches), or nil when no
-// run is in flight. Unlike Do it never starts a run — the probe the
-// history-events stream uses to join an ingest without being able to
-// trigger one.
+// run is in flight. Unlike Do it never starts a run — the probe an event
+// stream uses to join a run it cannot trigger itself.
 func (g *flightGroup) Wait(key int64) <-chan struct{} {
 	g.mu.Lock()
 	defer g.mu.Unlock()

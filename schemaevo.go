@@ -286,7 +286,7 @@ func NewStudy(seed int64) (*Study, error) { return study.New(seed) }
 
 // NewStudyContext is NewStudy with a caller-supplied context: cancellation
 // aside, attach a tracer (internal/obs via the studyrun -trace flag, or the
-// daemon's /debug/trace endpoint) to record per-stage spans of the run.
+// daemon's /v1/debug/trace endpoint) to record per-stage spans of the run.
 func NewStudyContext(ctx context.Context, seed int64) (*Study, error) {
 	return study.NewContext(ctx, seed)
 }
