@@ -2,14 +2,18 @@ package main
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/schemaevo/schemaevo/internal/ingest"
+	"github.com/schemaevo/schemaevo/internal/serve"
+	"github.com/schemaevo/schemaevo/internal/store"
 )
 
 // uploadBody renders a distinct small JSON history per n.
@@ -286,4 +290,34 @@ func TestProxyIngestEdgeHardening(t *testing.T) {
 			t.Error("error did not come from a backend")
 		}
 	})
+}
+
+// TestProxyRejectsForeignCursor: a cursor whose payload is not an id of the
+// listed kind is malformed — the proxy answers 400 before asking any
+// backend for its listing.
+func TestProxyRejectsForeignCursor(t *testing.T) {
+	var listings atomic.Int64
+	daemon := serve.New(serve.Options{Store: store.NewMem()})
+	b := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/seeds" || r.URL.Path == "/v1/histories" {
+			listings.Add(1)
+		}
+		daemon.ServeHTTP(w, r)
+	}))
+	defer b.Close()
+	_, ts := newTestProxy(t, 0, b.URL)
+
+	cursor := func(payload string) string { return base64.RawURLEncoding.EncodeToString([]byte(payload)) }
+	for _, path := range []string{
+		"/v1/seeds?limit=2&cursor=" + cursor("v1:zzz"),
+		"/v1/histories?cursor=" + cursor("v1:42"),
+	} {
+		code, raw, _ := get(t, ts, path)
+		if code != http.StatusBadRequest || !strings.Contains(raw, "malformed cursor") {
+			t.Errorf("%s: status %d: %s", path, code, raw)
+		}
+	}
+	if n := listings.Load(); n != 0 {
+		t.Errorf("%d backend listings fanned out for malformed cursors, want 0", n)
+	}
 }

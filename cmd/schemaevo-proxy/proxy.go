@@ -486,7 +486,7 @@ type listBody[K cmp.Ordered] struct {
 // merged.
 func listing[K cmp.Ordered](p *Proxy, kind serve.Kind[K]) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		pr, err := serve.ParsePage(r)
+		pr, err := kind.ParsePage(r)
 		if err != nil {
 			var zero K
 			kind.Ref(zero).Write(w, http.StatusBadRequest, err.Error())

@@ -1,10 +1,10 @@
 // Command schemaevod serves the full reproduction over HTTP: every
 // experiment artifact, the dataset exports, the SVG figures and the HTML
-// report, per corpus seed, from a bounded LRU cache with singleflight
-// deduplication — concurrent requests for one seed run the pipeline once.
-// With -store-dir, completed studies persist as checksummed snapshots and a
-// restarted daemon serves every previously-seen seed without a single
-// pipeline run.
+// report, per corpus seed, from a bounded LRU cache of rendered artifact
+// sets with singleflight deduplication — concurrent requests for one seed
+// run the pipeline once and render its full set once. With -store-dir, the
+// rendered sets persist as checksummed snapshots and a restarted daemon
+// serves every previously-seen seed without a single pipeline run.
 //
 // Beyond the built-in corpus seeds, the daemon ingests user-supplied DDL
 // histories: POST a multi-version SQL dump archive (JSON, tar, or annotated
@@ -86,7 +86,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:8080", "listen address")
-		cache     = flag.Int("cache", 8, "max completed studies kept in memory")
+		cache     = flag.Int("cache", 8, "max seeds kept in memory, one rendered artifact set each")
 		timeout   = flag.Duration("timeout", 60*time.Second, "per-request deadline")
 		drain     = flag.Duration("drain", 15*time.Second, "graceful-shutdown drain budget")
 		prewarm   = flag.String("prewarm", "", "comma-separated seeds to make servable before traffic")

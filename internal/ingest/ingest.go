@@ -51,25 +51,6 @@ func ArtifactKeys() []string {
 	return []string{ArtifactCompatibility, ArtifactHeartbeat, ArtifactHistory, ArtifactProfile}
 }
 
-// KnownArtifact reports whether key names an ingest artifact.
-func KnownArtifact(key string) bool {
-	switch key {
-	case ArtifactProfile, ArtifactCompatibility, ArtifactHeartbeat, ArtifactHistory:
-		return true
-	}
-	return false
-}
-
-// ContentTypeFor maps an ingest artifact key to its Content-Type header.
-func ContentTypeFor(key string) string {
-	switch key {
-	case ArtifactHeartbeat:
-		return "text/csv; charset=utf-8"
-	default:
-		return "application/json"
-	}
-}
-
 // ErrNoUsableVersions reports an upload whose versions were all dropped by
 // the paper's filter (empty files, no CREATE TABLE statement) — a client
 // error, not a pipeline failure.

@@ -253,3 +253,45 @@ func BenchmarkSpanPublish(b *testing.B) {
 		}
 	})
 }
+
+// TestSpanEventsArriveInSeqOrder: spans that start and end together on two
+// goroutines of one tracer must reach a subscriber in seq order. A client
+// resumes after the last seq it received, so an event that arrives after a
+// higher seq is lost on reconnect.
+func TestSpanEventsArriveInSeqOrder(t *testing.T) {
+	const workers, spans = 2, 20000
+	bus := NewBus()
+	sub := bus.Subscribe(1, workers*spans*2) // room for every event: no drops
+	defer sub.Close()
+	tr := NewTracer(Options{Bus: bus, Seed: 1})
+	ctx := WithTracer(context.Background(), tr)
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < spans; i++ {
+				_, sp := Start(ctx, "order.span")
+				sp.End()
+			}
+		}()
+	}
+	wg.Wait()
+
+	evs := collectBuffered(sub)
+	if len(evs) != workers*spans*2 {
+		t.Fatalf("got %d events, want %d", len(evs), workers*spans*2)
+	}
+	var last int64
+	inversions := 0
+	for _, ev := range evs {
+		if ev.Seq <= last {
+			inversions++
+		}
+		last = ev.Seq
+	}
+	if inversions > 0 {
+		t.Errorf("%d of %d events arrived with a seq no higher than the one before", inversions, len(evs))
+	}
+}

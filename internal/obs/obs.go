@@ -96,11 +96,16 @@ type Tracer struct {
 	bus  *Bus
 	seed int64
 
-	epoch    time.Time
-	nextID   atomic.Int64
-	dropped  atomic.Int64
-	eventSeq atomic.Int64 // live-event publication sequence, 1-based
-	now      func() time.Time // test seam
+	epoch   time.Time
+	nextID  atomic.Int64
+	dropped atomic.Int64
+	now     func() time.Time // test seam
+
+	// pubMu makes numbering and publishing one step, so every subscriber
+	// receives this tracer's events in seq order. Only taken while the bus
+	// has a subscriber.
+	pubMu    sync.Mutex
+	eventSeq int64 // live-event publication sequence, 1-based; guarded by pubMu
 
 	mu      sync.Mutex
 	records []Record
@@ -208,9 +213,7 @@ func Start(ctx context.Context, name string, attrs ...Attr) (context.Context, *S
 		sp.attrs = append(sp.attrs, attrs...)
 	}
 	if t.bus != nil && t.bus.Active() {
-		t.bus.Publish(Event{
-			Seed:   t.seed,
-			Seq:    t.eventSeq.Add(1),
+		t.publish(Event{
 			Span:   name,
 			ID:     sp.id,
 			Parent: sp.parent,
@@ -218,6 +221,17 @@ func Start(ctx context.Context, name string, attrs ...Attr) (context.Context, *S
 		})
 	}
 	return context.WithValue(ctx, spanKey{}, sp), sp
+}
+
+// publish stamps ev with the tracer's seed and next seq and hands it to the
+// bus under pubMu, so no other event of this tracer can overtake it.
+func (t *Tracer) publish(ev Event) {
+	ev.Seed = t.seed
+	t.pubMu.Lock()
+	t.eventSeq++
+	ev.Seq = t.eventSeq
+	t.bus.Publish(ev)
+	t.pubMu.Unlock()
 }
 
 // SetAttr appends attributes to the span (typically results known only at
@@ -242,9 +256,7 @@ func (s *Span) End() {
 		t.stages.Observe(s.name, d)
 	}
 	if t.bus != nil && t.bus.Active() {
-		t.bus.Publish(Event{
-			Seed:    t.seed,
-			Seq:     t.eventSeq.Add(1),
+		t.publish(Event{
 			Span:    s.name,
 			ID:      s.id,
 			Parent:  s.parent,

@@ -6,39 +6,34 @@ import (
 	"sync"
 )
 
-// resourceCache is a bounded LRU keyed by int64 — the seed for studies, the
-// truncated content address for ingested histories. Each entry carries up to
-// two layers: the completed live value V (immutable once built — every
-// reader only reads, so one cached value can back any number of concurrent
-// renders) and the artifact memo — rendered bytes per artifact key, so a
-// cache hit never re-renders report.html or profile.json. Entries restored
-// from the persistent store hold only the memo (no live value); the value
-// layer is filled in if a later request needs a live pipeline result. The
-// cache is guarded by one mutex — critical sections are pointer moves and
-// map lookups, never pipeline work or rendering.
-type resourceCache[V any] struct {
+// resourceCache is a bounded LRU of rendered artifact sets keyed by int64 —
+// the seed for studies, the truncated content address for ingested
+// histories. An entry holds bytes only: the set a run rendered or a snapshot
+// restored, never a live pipeline result, so a full cache costs CacheSize
+// rendered sets. An installed set is never mutated — a later run replaces it
+// whole — so a reader may keep using one after the lock is released. One
+// mutex guards the LRU; its critical sections are pointer moves and map
+// lookups, never pipeline work or rendering.
+type resourceCache struct {
 	mu      sync.Mutex
 	cap     int
 	order   *list.List              // front = most recently used
-	entries map[int64]*list.Element // key → element whose Value is *cacheEntry[V]
+	entries map[int64]*list.Element // key → element whose Value is *cacheEntry
 	metrics *Metrics
 }
 
-type cacheEntry[V any] struct {
+type cacheEntry struct {
 	key       int64
-	val       V
-	hasVal    bool              // false for snapshot-only entries
-	artifacts map[string][]byte // rendered artifact memo, keyed like store snapshots
-	fromStore bool              // artifacts came from a full persisted snapshot
+	artifacts map[string][]byte // rendered artifacts, keyed like store snapshots
 }
 
 // newResourceCache returns an LRU holding at most capacity entries.
 // Capacity is clamped to at least 1.
-func newResourceCache[V any](capacity int, m *Metrics) *resourceCache[V] {
+func newResourceCache(capacity int, m *Metrics) *resourceCache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &resourceCache[V]{
+	return &resourceCache{
 		cap:     capacity,
 		order:   list.New(),
 		entries: map[int64]*list.Element{},
@@ -46,47 +41,16 @@ func newResourceCache[V any](capacity int, m *Metrics) *resourceCache[V] {
 	}
 }
 
-// Get returns the cached live value for key, refreshing its recency.
-// Snapshot-only entries (no live value) report a miss — callers needing the
-// live value must run the pipeline.
-func (c *resourceCache[V]) Get(key int64) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var zero V
-	el, ok := c.entries[key]
-	if !ok || !el.Value.(*cacheEntry[V]).hasVal {
-		return zero, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry[V]).val, true
-}
-
-// Put inserts (or refreshes) a live value, evicting the least recently used
-// entry beyond capacity. An existing snapshot-only entry is upgraded in
-// place — its artifact memo survives.
-func (c *resourceCache[V]) Put(key int64, v V) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*cacheEntry[V])
-		e.val = v
-		e.hasVal = true
-		c.order.MoveToFront(el)
-		return
-	}
-	c.insertLocked(&cacheEntry[V]{key: key, val: v, hasVal: true})
-}
-
-// GetArtifact returns the memoized bytes for (key, artifact), refreshing the
+// GetArtifact returns the bytes of one artifact of key's set, refreshing the
 // entry's recency.
-func (c *resourceCache[V]) GetArtifact(key int64, artifact string) ([]byte, bool) {
+func (c *resourceCache) GetArtifact(key int64, artifact string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
 		return nil, false
 	}
-	b, ok := el.Value.(*cacheEntry[V]).artifacts[artifact]
+	b, ok := el.Value.(*cacheEntry).artifacts[artifact]
 	if !ok {
 		return nil, false
 	}
@@ -94,67 +58,32 @@ func (c *resourceCache[V]) GetArtifact(key int64, artifact string) ([]byte, bool
 	return b, true
 }
 
-// PutArtifact memoizes one rendered artifact on an existing entry. A key
-// evicted since its render is dropped silently — the memo never resurrects
-// entries past the LRU bound.
-func (c *resourceCache[V]) PutArtifact(key int64, artifact string, b []byte) {
+// Artifacts returns key's whole set without refreshing its recency. The map
+// is shared and must not be modified.
+func (c *resourceCache) Artifacts(key int64) (map[string][]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		return
+		return nil, false
 	}
-	e := el.Value.(*cacheEntry[V])
-	if e.artifacts == nil {
-		e.artifacts = map[string][]byte{}
-	}
-	e.artifacts[artifact] = b
+	return el.Value.(*cacheEntry).artifacts, true
 }
 
-// MergeArtifacts memoizes a batch of rendered artifacts on an existing
-// entry without overwriting keys already present.
-func (c *resourceCache[V]) MergeArtifacts(key int64, arts map[string][]byte) {
+// Install caches arts as key's set — replacing any set already there — and
+// makes it the most recently used, evicting the least recently used entry
+// beyond capacity. The cache keeps arts as given; the caller must not modify
+// it afterwards.
+func (c *resourceCache) Install(key int64, arts map[string][]byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry[V]).merge(arts)
-	}
-}
-
-func (e *cacheEntry[V]) merge(arts map[string][]byte) {
-	if e.artifacts == nil {
-		e.artifacts = make(map[string][]byte, len(arts))
-	}
-	for k, v := range arts {
-		if _, dup := e.artifacts[k]; !dup {
-			e.artifacts[k] = v
-		}
-	}
-}
-
-// InstallSnapshot inserts a snapshot-only entry for a key restored from
-// the persistent store: all artifacts, no live value. It counts toward the
-// LRU bound like any run result. If the key is already cached the
-// snapshot's artifacts merge into it.
-func (c *resourceCache[V]) InstallSnapshot(key int64, arts map[string][]byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if ok {
+		el.Value.(*cacheEntry).artifacts = arts
 		c.order.MoveToFront(el)
-	} else {
-		el = c.insertLocked(&cacheEntry[V]{key: key})
+		return
 	}
-	e := el.Value.(*cacheEntry[V])
-	e.merge(arts)
-	e.fromStore = true
-}
-
-// insertLocked pushes a fresh entry and enforces the capacity bound, which
-// the fresh (front) entry always survives. Caller holds c.mu.
-func (c *resourceCache[V]) insertLocked(e *cacheEntry[V]) *list.Element {
-	el := c.order.PushFront(e)
-	c.entries[e.key] = el
+	el := c.order.PushFront(&cacheEntry{key: key, artifacts: arts})
+	c.entries[key] = el
 	// The entry gauge is kept by increments, not recomputed from this
 	// cache's length: the seed and history caches share one Metrics, and the
 	// gauge reports their combined population.
@@ -164,43 +93,33 @@ func (c *resourceCache[V]) insertLocked(e *cacheEntry[V]) *list.Element {
 	for c.order.Len() > c.cap {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry[V]).key)
+		delete(c.entries, oldest.Value.(*cacheEntry).key)
 		if c.metrics != nil {
 			c.metrics.cacheEvicts.Add(1)
 			c.metrics.cacheEntries.Add(-1)
 		}
 	}
-	return el
 }
 
-// Has reports whether key is present at all — as a live value, a snapshot
-// restore, or both. It does not refresh recency.
-func (c *resourceCache[V]) Has(key int64) bool {
+// Has reports whether key has a set cached. It does not refresh recency.
+func (c *resourceCache) Has(key int64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	_, ok := c.entries[key]
 	return ok
 }
 
-// MissingStoredFigure reports whether key's entry is a store-restored
-// snapshot that carries figures but not the named one — the case where the
-// figure name is simply unknown and a pipeline run would not help.
-func (c *resourceCache[V]) MissingStoredFigure(key int64, artifact string) bool {
+// HoldsPrefix reports whether key's set holds any artifact whose name starts
+// with prefix.
+func (c *resourceCache) HoldsPrefix(key int64, prefix string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
 		return false
 	}
-	e := el.Value.(*cacheEntry[V])
-	if !e.fromStore || e.hasVal {
-		return false
-	}
-	if _, ok := e.artifacts[artifact]; ok {
-		return false
-	}
-	for k := range e.artifacts {
-		if strings.HasPrefix(k, "figures/") {
+	for k := range el.Value.(*cacheEntry).artifacts {
+		if strings.HasPrefix(k, prefix) {
 			return true
 		}
 	}
@@ -208,19 +127,19 @@ func (c *resourceCache[V]) MissingStoredFigure(key int64, artifact string) bool 
 }
 
 // Len reports the current number of cached entries.
-func (c *resourceCache[V]) Len() int {
+func (c *resourceCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
 }
 
 // Seeds returns the cached keys from most to least recently used.
-func (c *resourceCache[V]) Seeds() []int64 {
+func (c *resourceCache) Seeds() []int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]int64, 0, c.order.Len())
 	for el := c.order.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*cacheEntry[V]).key)
+		out = append(out, el.Value.(*cacheEntry).key)
 	}
 	return out
 }

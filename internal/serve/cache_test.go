@@ -1,31 +1,32 @@
 package serve
 
 import (
+	"fmt"
 	"sync"
 	"testing"
-
-	"github.com/schemaevo/schemaevo/internal/study"
 )
 
-// stub studies only need distinct identities; no pipeline data is touched
-// by the cache itself.
-func stubStudy(seed int64) *study.Study { return &study.Study{Seed: seed} }
+// stubSet is a one-artifact rendered set naming its seed; the cache itself
+// never looks inside.
+func stubSet(seed int64) map[string][]byte {
+	return map[string][]byte{"funnel": []byte(fmt.Sprintf("funnel %d", seed))}
+}
 
 func TestCacheLRUEviction(t *testing.T) {
 	m := NewMetrics()
-	c := newResourceCache[*study.Study](2, m)
-	c.Put(1, stubStudy(1))
-	c.Put(2, stubStudy(2))
-	if _, ok := c.Get(1); !ok { // refresh 1 → 2 becomes LRU
+	c := newResourceCache(2, m)
+	c.Install(1, stubSet(1))
+	c.Install(2, stubSet(2))
+	if _, ok := c.GetArtifact(1, "funnel"); !ok { // refresh 1 → 2 becomes LRU
 		t.Fatal("seed 1 missing")
 	}
-	c.Put(3, stubStudy(3))
-	if _, ok := c.Get(2); ok {
+	c.Install(3, stubSet(3))
+	if c.Has(2) {
 		t.Fatal("seed 2 should have been evicted (LRU)")
 	}
 	for _, seed := range []int64{1, 3} {
-		if st, ok := c.Get(seed); !ok || st.Seed != seed {
-			t.Fatalf("seed %d missing or wrong: %+v", seed, st)
+		if b, ok := c.GetArtifact(seed, "funnel"); !ok || string(b) != fmt.Sprintf("funnel %d", seed) {
+			t.Fatalf("seed %d missing or wrong: %q", seed, b)
 		}
 	}
 	if got := m.Snapshot().CacheEvictions; got != 1 {
@@ -37,30 +38,35 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheSeedsOrder(t *testing.T) {
-	c := newResourceCache[*study.Study](4, nil)
+	c := newResourceCache(4, nil)
 	for _, s := range []int64{5, 6, 7} {
-		c.Put(s, stubStudy(s))
+		c.Install(s, stubSet(s))
 	}
-	c.Get(5) // most recent now
+	c.GetArtifact(5, "funnel") // most recent now
 	seeds := c.Seeds()
 	if len(seeds) != 3 || seeds[0] != 5 {
 		t.Fatalf("seeds = %v, want [5 7 6]", seeds)
 	}
 }
 
+// A second install of one key replaces its set in place: the size stays,
+// and readers see the new set.
 func TestCachePutRefreshKeepsSize(t *testing.T) {
-	c := newResourceCache[*study.Study](2, nil)
-	c.Put(1, stubStudy(1))
-	c.Put(1, stubStudy(1))
+	c := newResourceCache(2, nil)
+	c.Install(1, stubSet(1))
+	c.Install(1, map[string][]byte{"funnel": []byte("replaced")})
 	if c.Len() != 1 {
-		t.Fatalf("len = %d after duplicate put", c.Len())
+		t.Fatalf("len = %d after duplicate install", c.Len())
+	}
+	if b, _ := c.GetArtifact(1, "funnel"); string(b) != "replaced" {
+		t.Fatalf("funnel = %q, want the replacing set", b)
 	}
 }
 
 func TestCacheCapacityClamped(t *testing.T) {
-	c := newResourceCache[*study.Study](0, nil)
-	c.Put(1, stubStudy(1))
-	c.Put(2, stubStudy(2))
+	c := newResourceCache(0, nil)
+	c.Install(1, stubSet(1))
+	c.Install(2, stubSet(2))
 	if c.Len() != 1 {
 		t.Fatalf("len = %d, want clamp to 1", c.Len())
 	}
@@ -69,7 +75,7 @@ func TestCacheCapacityClamped(t *testing.T) {
 // TestCacheConcurrent hammers the cache from many goroutines; the race
 // detector is the assertion.
 func TestCacheConcurrent(t *testing.T) {
-	c := newResourceCache[*study.Study](4, NewMetrics())
+	c := newResourceCache(4, NewMetrics())
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
@@ -77,8 +83,8 @@ func TestCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				seed := int64((g + i) % 8)
-				if _, ok := c.Get(seed); !ok {
-					c.Put(seed, stubStudy(seed))
+				if _, ok := c.GetArtifact(seed, "funnel"); !ok {
+					c.Install(seed, stubSet(seed))
 				}
 				c.Seeds()
 			}

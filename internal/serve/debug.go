@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/pprof"
 
 	"github.com/schemaevo/schemaevo/internal/obs"
+	"github.com/schemaevo/schemaevo/internal/store"
 )
 
 // This file is the daemon's debugging surface: the stdlib pprof handlers
@@ -66,10 +68,10 @@ func (s *Server) handleDebugScrub(w http.ResponseWriter, r *http.Request) {
 // handleDebugTrace serves the trace endpoint (?seed=N): it runs one pipeline
 // execution for the seed with a collecting tracer attached and responds with
 // the Chrome trace JSON. The run bypasses the cache on purpose — a cached
-// study has no spans to show — but its result still fills the cache and
-// schedules a snapshot save, so the endpoint doubles as an instrumented
-// prewarm. Stage durations feed the shared /v1/metrics histograms like any
-// other run.
+// study has no spans to show — but the response waits until its result is
+// rendered into the cache, and the set is saved, so the endpoint doubles as
+// an instrumented prewarm. Stage durations feed the shared /v1/metrics
+// histograms like any other run.
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	seed := int64(1)
 	if q := r.URL.Query().Get("seed"); q != "" {
@@ -87,7 +89,11 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 		failRun(w, Seeds.Ref(seed), err)
 		return
 	}
-	s.seeds.install(seed, st)
+	f := s.seeds.adopt(seed, func(ctx context.Context) (*store.Snapshot, error) { return s.render(ctx, st) })
+	if _, err := s.seeds.await(r.Context(), seed, f); err != nil {
+		failRun(w, Seeds.Ref(seed), err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := tr.WriteChromeTrace(w); err != nil {
 		s.opts.Logger.Error("debug trace export failed", "seed", seed, "err", err)

@@ -26,6 +26,7 @@ func TestDebugTrace(t *testing.T) {
 		return &study.Study{Seed: seed}, nil
 	}
 	srv := New(Options{Runner: RunnerFunc(runner)})
+	srv.render = stubRender
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -54,7 +55,7 @@ func TestDebugTrace(t *testing.T) {
 	if !names["study.new"] || !names["corpus.generate"] {
 		t.Fatalf("trace missing stage spans, got %v", names)
 	}
-	if _, ok := srv.seeds.cache.Get(5); !ok {
+	if !srv.seeds.cache.Has(5) {
 		t.Error("/v1/debug/trace must fill the cache for its seed")
 	}
 	s := srv.Metrics().Snapshot()
@@ -99,6 +100,7 @@ func TestServerStageMetrics(t *testing.T) {
 		return &study.Study{Seed: seed}, nil
 	}
 	srv := New(Options{Runner: RunnerFunc(runner)})
+	srv.render = stubRender
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -127,6 +129,7 @@ func TestOrphanedRunMetrics(t *testing.T) {
 		return &study.Study{Seed: seed}, nil
 	}
 	srv := New(Options{Timeout: 20 * time.Millisecond, Runner: RunnerFunc(runner)})
+	srv.render = stubRender
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -155,7 +158,7 @@ func TestOrphanedRunMetrics(t *testing.T) {
 // the real cache length once the dust settles.
 func TestCacheEntriesNeverNegative(t *testing.T) {
 	m := newMetricsWithStages(obs.NewStageRegistry())
-	c := newResourceCache[*study.Study](2, m)
+	c := newResourceCache(2, m)
 	stop := make(chan struct{})
 	var negatives sync.Map
 	var watcher sync.WaitGroup
@@ -180,7 +183,7 @@ func TestCacheEntriesNeverNegative(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				c.Put(int64((g*500+i)%16), stubStudy(int64(i)))
+				c.Install(int64((g*500+i)%16), stubSet(int64(i)))
 			}
 		}(g)
 	}
@@ -207,6 +210,7 @@ func TestDebugStats(t *testing.T) {
 		return &study.Study{Seed: seed}, nil
 	}
 	srv := New(Options{Runner: RunnerFunc(runner)})
+	srv.render = stubRender
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -259,6 +263,7 @@ func TestDebugTraceHeadSampling(t *testing.T) {
 		return &study.Study{Seed: seed}, nil
 	}
 	srv := New(Options{Runner: RunnerFunc(runner), TraceMaxSpans: 4})
+	srv.render = stubRender
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

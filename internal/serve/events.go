@@ -203,7 +203,7 @@ func lastEventSeq(r *http.Request) int64 {
 // through the singleflight, and a client that disconnects mid-run cancels
 // nothing shared — the run keeps going and fills the cache, exactly like an
 // abandoned artifact request.
-func (r *resource[K, V]) handleEvents(w http.ResponseWriter, req *http.Request) {
+func (r *resource[K]) handleEvents(w http.ResponseWriter, req *http.Request) {
 	id, ok := r.parse(w, req)
 	if !ok {
 		return
@@ -271,39 +271,31 @@ wait:
 	sw.result(key, runErr, time.Since(start))
 }
 
-// settle returns the channel on which id's run outcome arrives — at once
-// for a cached or stored resource — or nil when id is unknown and the kind
-// cannot start it.
-func (r *resource[K, V]) settle(ctx context.Context, id K) <-chan error {
+// settle returns the channel on which id's run outcome arrives: at once
+// for a cached or stored resource, when the run proper ends for one in
+// flight — a seed's result precedes its render — or nil when id is unknown
+// and the kind cannot start it.
+func (r *resource[K]) settle(ctx context.Context, id K) <-chan error {
 	done := make(chan error, 1)
-	if r.start != nil {
-		go func() { done <- r.ensure(ctx, id) }()
-		return done
+	var f *flight
+	if r.restore(ctx, id); !r.cache.Has(r.Key(id)) {
+		f, _ = r.flightFor(id, r.start)
 	}
-	key := r.Key(id)
-	wait := r.runs.Wait(key)
-	if wait == nil && !r.cache.Has(key) {
-		r.restore(ctx, id)
-		// Re-probe the flight: an upload may have raced in.
-		if wait = r.runs.Wait(key); wait == nil && !r.cache.Has(key) {
-			return nil
-		}
-	}
-	go func() {
-		if wait != nil {
+	switch {
+	case f != nil:
+		go func() {
 			select {
-			case <-wait:
+			case <-f.ran:
+				done <- f.runErr
 			case <-ctx.Done():
 				done <- ctx.Err()
-				return
 			}
-		}
-		if !r.cache.Has(key) {
-			done <- fmt.Errorf("%s run failed; re-POST it for the error detail", r.Name)
-			return
-		}
+		}()
+	case r.cache.Has(r.Key(id)): // cached, or a run settled in between
 		done <- nil
-	}()
+	default:
+		return nil
+	}
 	return done
 }
 

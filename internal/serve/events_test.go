@@ -118,6 +118,7 @@ func openStream(tb testing.TB, ts *httptest.Server, path string, hdr map[string]
 func TestSeedEventsColdRunStream(t *testing.T) {
 	runner := &spanRunner{tb: t, spans: 6} // 6 stages × (start+end) × 2 levels = 24 events
 	srv := New(Options{Runner: runner})
+	srv.render = sharedRender
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -187,6 +188,7 @@ func TestSeedEventsColdRunStream(t *testing.T) {
 func TestSeedEventsStreamIsDeterministic(t *testing.T) {
 	stream := func() []sseEvent {
 		srv := New(Options{Runner: &spanRunner{tb: t, spans: 5}})
+		srv.render = sharedRender
 		ts := httptest.NewServer(srv)
 		defer ts.Close()
 		resp, br := openStream(t, ts, "/v1/seeds/1/events", nil)
@@ -213,6 +215,7 @@ func TestSeedEventsStreamIsDeterministic(t *testing.T) {
 func TestSeedEventsWatchersShareOneRun(t *testing.T) {
 	runner := &spanRunner{tb: t, spans: 4, started: make(chan struct{}), release: make(chan struct{})}
 	srv := New(Options{Runner: runner})
+	srv.render = sharedRender
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -256,6 +259,7 @@ func TestSeedEventsWatchersShareOneRun(t *testing.T) {
 func TestSeedEventsDisconnectCancelsNothingShared(t *testing.T) {
 	runner := &spanRunner{tb: t, spans: 4, started: make(chan struct{}), release: make(chan struct{})}
 	srv := New(Options{Runner: runner})
+	srv.render = sharedRender
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -304,6 +308,7 @@ func (w *slowFlushWriter) Flush() {}
 func TestSeedEventsSlowConsumerDropsOldest(t *testing.T) {
 	runner := &spanRunner{tb: t, spans: 60} // 240 events against a 4-slot ring
 	srv := New(Options{Runner: runner, EventBuffer: 4})
+	srv.render = sharedRender
 
 	w := &slowFlushWriter{ResponseRecorder: *httptest.NewRecorder(), delay: 2 * time.Millisecond}
 	req := httptest.NewRequest(http.MethodGet, "/v1/seeds/1/events", nil)
@@ -341,6 +346,7 @@ func TestSeedEventsSlowConsumerDropsOldest(t *testing.T) {
 func TestSeedEventsResume(t *testing.T) {
 	runner := &spanRunner{tb: t, spans: 4}
 	srv := New(Options{Runner: runner})
+	srv.render = sharedRender
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -368,6 +374,7 @@ func TestSeedEventsResume(t *testing.T) {
 func TestDebugEventsFirehose(t *testing.T) {
 	runner := &spanRunner{tb: t, spans: 3}
 	srv := New(Options{Runner: runner})
+	srv.render = sharedRender
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -444,6 +451,7 @@ func TestDebugEventsFirehose(t *testing.T) {
 func TestWarmSeedEventsSettleInstantly(t *testing.T) {
 	runner := &spanRunner{tb: t, spans: 4}
 	srv := New(Options{Runner: runner})
+	srv.render = sharedRender
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

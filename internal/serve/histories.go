@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"github.com/schemaevo/schemaevo/internal/ingest"
 	"github.com/schemaevo/schemaevo/internal/store"
@@ -25,13 +24,10 @@ import (
 // Options.MaxUploadBytes is zero.
 const DefaultMaxUploadBytes int64 = 8 << 20
 
-// newHistories builds the history kind over the history store.
-func newHistories(s *Server) *resource[string, *ingest.Result] {
-	r := newResource[string, *ingest.Result](s, Histories, s.opts.HistoryStore)
-	r.memo = func(res *ingest.Result) map[string][]byte { return res.Artifacts }
-	r.snapshot = func(_ context.Context, res *ingest.Result) (*store.Snapshot, error) {
-		return &store.Snapshot{Artifacts: res.Artifacts}, nil
-	}
+// newHistories builds the history kind over the history store. An ingest
+// run renders its artifacts itself, so a history's render only wraps them.
+func newHistories(s *Server) *resource[string] {
+	r := newResource(s, Histories, s.opts.HistoryStore, ingest.ArtifactKeys())
 	r.storedIDs = func(ctx context.Context) ([]string, error) {
 		if lister, ok := r.store.(store.IDLister); ok {
 			return lister.ListIDs(ctx)
@@ -41,7 +37,7 @@ func newHistories(s *Server) *resource[string, *ingest.Result] {
 	r.describe = func(key int64, desc map[string]any) {
 		desc["artifacts"] = ingest.ArtifactKeys()
 		// Surface the history's SQL dialect (detected or client-supplied at
-		// ingest) from the rendered profile when it is in the memo.
+		// ingest) from the rendered profile when it is cached.
 		if b, ok := r.cache.GetArtifact(key, ingest.ArtifactProfile); ok {
 			var p struct {
 				Dialect string `json:"dialect"`
@@ -68,7 +64,7 @@ type ingestResponse struct {
 }
 
 // handleIngest is POST /v1/histories: bound the body, decode and
-// content-address the upload, then answer from the memo or the store, or
+// content-address the upload, then answer from the cache or the store, or
 // run — or dedup onto — the ingest pipeline.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	ref := Histories.Ref("")
@@ -100,14 +96,18 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	profile, ok := s.histories.lookup(r.Context(), up.ID, ingest.ArtifactProfile)
 	compat, ok2 := s.histories.cache.GetArtifact(up.Key(), ingest.ArtifactCompatibility)
 	if !ok || !ok2 {
-		res, ran, err := s.histories.run(r.Context(), up.ID, func(ctx context.Context, id string) (*ingest.Result, error) {
+		f, created := s.histories.flightFor(up.ID, func(ctx context.Context, id string) (renderFunc, error) {
 			res, err := ingest.Run(ctx, up)
-			if err == nil {
-				s.opts.Logger.Info("history ingested", "history", id, "project", res.Profile.Project,
-					"taxon", res.Profile.TaxonShort, "compatibility", res.Profile.Compatibility)
+			if err != nil {
+				return nil, err
 			}
-			return res, err
+			s.opts.Logger.Info("history ingested", "history", id, "project", res.Profile.Project,
+				"taxon", res.Profile.TaxonShort, "compatibility", res.Profile.Compatibility)
+			return func(context.Context) (*store.Snapshot, error) {
+				return &store.Snapshot{Artifacts: res.Artifacts}, nil
+			}, nil
 		})
+		arts, err := s.histories.await(r.Context(), up.ID, f)
 		if errors.Is(err, ingest.ErrNoUsableVersions) {
 			ref.Write(w, http.StatusUnprocessableEntity, err.Error())
 			return
@@ -116,8 +116,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			failRun(w, ref, err)
 			return
 		}
-		resp.Created = ran
-		profile, compat = res.Artifacts[ingest.ArtifactProfile], res.Artifacts[ingest.ArtifactCompatibility]
+		resp.Created = created
+		profile, compat = arts[ingest.ArtifactProfile], arts[ingest.ArtifactCompatibility]
 	}
 	if !resp.Created {
 		s.metrics.ingestDedup.Add(1)
@@ -128,31 +128,4 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusCreated)
 	}
 	json.NewEncoder(w).Encode(resp)
-}
-
-// handleHistoryArtifact serves one rendered ingest artifact: memo hit →
-// store restore → 404 (the daemon does not retain upload bodies, so an
-// evicted un-persisted history needs a re-upload — which dedups back to the
-// same identity).
-func (s *Server) handleHistoryArtifact(w http.ResponseWriter, r *http.Request) {
-	id, ok := s.histories.parse(w, r)
-	if !ok {
-		return
-	}
-	artifact := r.PathValue("key")
-	if !ingest.KnownArtifact(artifact) {
-		Histories.Ref(id).Write(w, http.StatusNotFound,
-			fmt.Sprintf("unknown history artifact %q; available: %v", artifact, ingest.ArtifactKeys()))
-		return
-	}
-	start := time.Now()
-	b, ok := s.histories.lookup(r.Context(), id, artifact)
-	if !ok {
-		Histories.Ref(id).Write(w, http.StatusNotFound,
-			"unknown history; POST the history to /v1/histories first (re-uploads deduplicate)")
-		return
-	}
-	w.Header().Set("Content-Type", ingest.ContentTypeFor(artifact))
-	w.Write(b)
-	s.metrics.ObserveLatency(artifact, time.Since(start))
 }

@@ -507,6 +507,7 @@ func TestHistoryPagination(t *testing.T) {
 
 func TestSeedsPagination(t *testing.T) {
 	srv := New(Options{Runner: RunnerFunc(realRunner(t))})
+	srv.render = sharedRender
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	for seed := 1; seed <= 3; seed++ {

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/schemaevo/schemaevo/internal/collect"
 	"github.com/schemaevo/schemaevo/internal/ingest"
 	"github.com/schemaevo/schemaevo/internal/store"
 	"github.com/schemaevo/schemaevo/internal/study"
@@ -21,30 +20,29 @@ import (
 
 // stubPersistServer builds a server whose runner and render seam are cheap
 // stubs, so persistence mechanics can be exercised without real pipeline
-// runs. The stub study carries an empty funnel so its Summary marshals —
-// persistence needs the summary blob even with the render stubbed out.
-// runs counts pipeline executions.
+// runs. runs counts pipeline executions.
 func stubPersistServer(st store.Store, cacheSize int, runs *atomic.Int64) *Server {
 	srv := New(Options{
 		Store:     st,
 		CacheSize: cacheSize,
 		Runner: RunnerFunc(func(_ context.Context, seed int64) (*study.Study, error) {
 			runs.Add(1)
-			return &study.Study{Seed: seed, Funnel: &collect.Funnel{}}, nil
+			return &study.Study{Seed: seed}, nil
 		}),
 	})
-	srv.render = func(_ context.Context, st *study.Study) (map[string][]byte, error) {
-		return map[string][]byte{"export.csv": []byte("stub,csv\n")}, nil
+	srv.render = func(_ context.Context, st *study.Study) (*store.Snapshot, error) {
+		return &store.Snapshot{Summary: study.Summary{Seed: st.Seed},
+			Artifacts: map[string][]byte{"export.csv": []byte("stub,csv\n")}}, nil
 	}
 	return srv
 }
 
-// TestPersistMarkClears is the regression test for the write-behind's
-// in-flight mark: after a save lands, the resource must be persistable
-// again. Before the fix, schedulePersist never cleared persisting[seed] on
-// success, so a snapshot deleted from the store (retention GC, scrub,
-// operator) could never be re-persisted within one daemon generation. Both
-// resource kinds share the one write-behind, so both are exercised.
+// TestPersistMarkClears is the regression test for re-persisting: after a
+// save lands, the resource must be persistable again, so a snapshot deleted
+// from the store (retention GC, scrub, operator) is re-persisted by the next
+// run within one daemon generation. (An early write-behind kept a per-key
+// in-flight mark that was never cleared on success.) Both resource kinds
+// share the one write-behind, so both are exercised.
 func TestPersistMarkClears(t *testing.T) {
 	for _, kind := range []struct {
 		name string

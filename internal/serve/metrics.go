@@ -34,7 +34,7 @@ type Metrics struct {
 	storeMisses      atomic.Int64 // store lookups that found no snapshot
 	storeCorrupt     atomic.Int64 // snapshots rejected as corrupt (degraded to cold run)
 	storeSaves       atomic.Int64 // write-behind snapshot saves that reached the store
-	memoHits         atomic.Int64 // artifacts served from the per-(seed, key) render memo
+	memoHits         atomic.Int64 // artifacts served from a cached rendered set
 	gcRuns           atomic.Int64 // store retention sweeps completed
 	gcEvicted        atomic.Int64 // snapshots evicted by the retention policy
 	gcOrphanBlobs    atomic.Int64 // unreferenced blobs collected by GC
@@ -230,7 +230,7 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		count("schemaevod_store_misses_total", "Store lookups that found no snapshot.", s.StoreMisses),
 		count("schemaevod_store_corrupt_total", "Snapshots rejected as corrupt and degraded to a cold pipeline run.", s.StoreCorrupt),
 		count("schemaevod_store_saves_total", "Write-behind snapshot saves that reached the store.", s.StoreSaves),
-		count("schemaevod_artifact_memo_hits_total", "Artifacts served from the per-seed render memo.", s.MemoHits),
+		count("schemaevod_artifact_memo_hits_total", "Artifacts served from a cached rendered set.", s.MemoHits),
 		count("schemaevo_store_gc_runs_total", "Store retention/orphan sweeps completed.", s.GCRuns),
 		count("schemaevo_store_gc_evicted_snapshots_total", "Snapshots evicted by the retention policy.", s.GCEvicted),
 		count("schemaevo_store_gc_orphan_blobs_total", "Unreferenced blobs collected by the GC sweep.", s.GCOrphanBlobs),

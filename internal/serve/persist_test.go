@@ -20,7 +20,7 @@ import (
 
 // populatedStore builds — once for the whole package — a disk store holding
 // the seed-1 snapshot, written through the real write-behind path: a server
-// runs the pipeline, schedules the persist, and SyncStore waits it out.
+// runs the pipeline, renders the set and saves it, and Prewarm waits it out.
 // Rendering every artifact (report.html included) costs seconds, so all
 // persistence tests share this one directory read-only; the fault test
 // copies it before damaging anything.
@@ -39,6 +39,7 @@ var populatedStore = sync.OnceValues(func() (string, error) {
 			return realStudy()
 		}),
 	})
+	srv.render = sharedRender
 	if err := srv.Prewarm(context.Background(), []int64{1}); err != nil {
 		return "", err
 	}
@@ -227,6 +228,7 @@ func TestStoreFaultDegrades(t *testing.T) {
 				runs.Add(1)
 				return realStudy()
 			})})
+			srv.render = sharedRender
 			ts := httptest.NewServer(srv)
 			defer ts.Close()
 			code, body, _ := get(t, ts, "/v1/seeds/1/artifacts/funnel")
@@ -239,6 +241,7 @@ func TestStoreFaultDegrades(t *testing.T) {
 			if n := runs.Load(); n != 1 {
 				t.Errorf("pipeline runs = %d, want exactly 1 (the degrade)", n)
 			}
+			srv.SyncStore() // the re-persist writes into the test's temp dir
 			return srv
 		}},
 		{"history-", func(*testing.T) string { return histDir }, func(t *testing.T, d store.Store) *Server {
@@ -372,6 +375,7 @@ func TestPrewarmParallel(t *testing.T) {
 		return &study.Study{Seed: seed}, nil
 	})
 	srv := New(Options{CacheSize: seeds, PrewarmWorkers: seeds, Runner: runner})
+	srv.render = stubRender
 	start := time.Now()
 	if err := srv.Prewarm(context.Background(), []int64{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
@@ -392,8 +396,8 @@ func TestPrewarmParallel(t *testing.T) {
 }
 
 // TestWriteBehindPanicContained: a study whose render panics (the stub has
-// no funnel) must not take the daemon down — the save fails quietly and the
-// request that triggered it still succeeds.
+// no funnel) must not take the daemon down — the request waiting on the
+// render gets a 500, and nothing is saved or cached.
 func TestWriteBehindPanicContained(t *testing.T) {
 	m := store.NewMem()
 	srv := New(Options{Store: m, Runner: RunnerFunc(func(_ context.Context, seed int64) (*study.Study, error) {
@@ -402,7 +406,7 @@ func TestWriteBehindPanicContained(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	code, _, _ := get(t, ts, "/v1/seeds/9/artifacts/export.csv")
-	if code != 200 {
+	if code != http.StatusInternalServerError {
 		t.Fatalf("status %d", code)
 	}
 	srv.SyncStore()

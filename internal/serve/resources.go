@@ -8,11 +8,13 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"github.com/schemaevo/schemaevo/internal/ingest"
 	"github.com/schemaevo/schemaevo/internal/obs"
@@ -29,11 +31,12 @@ import (
 //	GET  /v1/{plural}/{id}/artifacts/{key}  one rendered artifact
 //	GET  /v1/{plural}/{id}/events           SSE progress of the resource's run
 //
-// one read path (memo hit → store restore → singleflight run), one restore,
-// one write-behind persist, one event stream, one listing, one JSON error
-// envelope {error, code, resource, id} and one opaque-cursor pagination
-// scheme. A kind supplies only what really differs: how its ids parse and
-// key, how a run starts, and what a run's snapshot holds.
+// one read path (cache hit → store restore → the key's one run and render),
+// one restore, one write-behind save, one event stream, one listing, one
+// JSON error envelope {error, code, resource, id} and one opaque-cursor
+// pagination scheme. A kind supplies only what really differs: how its ids
+// parse and key, which artifacts a set holds, and how a run starts and
+// renders.
 
 // Kind describes one resource collection's identifiers. The proxy shares
 // these descriptors, so both tiers parse, route and report ids alike.
@@ -144,34 +147,40 @@ const defaultPageLimit = 100
 // cursorPrefix versions the cursor token format.
 const cursorPrefix = "v1:"
 
-// PageRequest is a parsed pagination parameter pair.
-type PageRequest struct {
+// PageRequest is one kind's parsed pagination parameter pair.
+type PageRequest[K cmp.Ordered] struct {
 	Limit  int
-	Cursor string // decoded resume-after payload ("" = from the start)
-	Paged  bool   // whether pagination was requested at all
+	After  K    // the cursor's id: the page resumes strictly after it
+	Resume bool // whether a cursor was sent, so After is set
+	Paged  bool // whether pagination was requested at all
 }
 
-// ParsePage reads ?limit= and ?cursor=. Absent both, pagination is off.
-func ParsePage(r *http.Request) (PageRequest, error) {
+// ParsePage reads ?limit= and ?cursor=. Absent both, pagination is off. A
+// cursor must decode and carry an id of the kind; anything else — another
+// kind's cursor included — is malformed rather than a restart from the
+// first page.
+func (k Kind[K]) ParsePage(r *http.Request) (PageRequest[K], error) {
 	q := r.URL.Query()
 	rawLimit, rawCursor := q.Get("limit"), q.Get("cursor")
 	if rawLimit == "" && rawCursor == "" {
-		return PageRequest{}, nil
+		return PageRequest[K]{}, nil
 	}
-	pr := PageRequest{Limit: defaultPageLimit, Paged: true}
+	pr := PageRequest[K]{Limit: defaultPageLimit, Paged: true}
 	if rawLimit != "" {
 		n, err := strconv.Atoi(rawLimit)
 		if err != nil || n <= 0 {
-			return PageRequest{}, fmt.Errorf("limit must be a positive integer, got %q", rawLimit)
+			return PageRequest[K]{}, fmt.Errorf("limit must be a positive integer, got %q", rawLimit)
 		}
 		pr.Limit = n
 	}
 	if rawCursor != "" {
 		raw, err := base64.RawURLEncoding.DecodeString(rawCursor)
-		if err != nil || !strings.HasPrefix(string(raw), cursorPrefix) {
-			return PageRequest{}, errors.New("malformed cursor; use the next_cursor of a previous response")
+		payload, ok := strings.CutPrefix(string(raw), cursorPrefix)
+		after, perr := k.Parse(payload)
+		if err != nil || !ok || perr != nil {
+			return PageRequest[K]{}, errors.New("malformed cursor; use the next_cursor of a previous response")
 		}
-		pr.Cursor = strings.TrimPrefix(string(raw), cursorPrefix)
+		pr.After, pr.Resume = after, true
 	}
 	return pr, nil
 }
@@ -179,15 +188,15 @@ func ParsePage(r *http.Request) (PageRequest, error) {
 // Page slices the page of ascending items that follows pr's cursor and
 // returns it with the next page's cursor ("" once the listing is
 // exhausted).
-func (k Kind[K]) Page(items []K, pr PageRequest) ([]K, string) {
+func (k Kind[K]) Page(items []K, pr PageRequest[K]) ([]K, string) {
 	start := 0
-	if after, err := k.Parse(pr.Cursor); pr.Cursor != "" && err == nil {
-		start = sort.Search(len(items), func(i int) bool { return items[i] > after })
+	if pr.Resume {
+		start = sort.Search(len(items), func(i int) bool { return items[i] > pr.After })
 	}
-	end := start + pr.Limit
-	if end >= len(items) {
+	if pr.Limit >= len(items)-start { // not start+Limit: a huge ?limit= would overflow
 		return items[start:], ""
 	}
+	end := start + pr.Limit
 	return items[start:end], base64.RawURLEncoding.EncodeToString([]byte(cursorPrefix + k.Format(items[end-1])))
 }
 
@@ -202,59 +211,67 @@ func SortedUnion[K cmp.Ordered](lists ...[]K) []K {
 	return slices.Compact(all)
 }
 
-// resource is the serving machinery of one kind: its LRU with artifact
-// memo, its singleflights, its store, and the kind-specific hooks.
-type resource[K cmp.Ordered, V any] struct {
+// runFunc runs one resource and returns the render of its result. The
+// result is reachable only through the render, so once that returns the
+// daemon holds the rendered bytes alone.
+type runFunc[K cmp.Ordered] func(ctx context.Context, id K) (renderFunc, error)
+
+// renderFunc renders one completed run into the snapshot the cache and the
+// store keep.
+type renderFunc func(ctx context.Context) (*store.Snapshot, error)
+
+// notFound is a read-path outcome answered with 404 and its message.
+type notFound string
+
+func (e notFound) Error() string { return string(e) }
+
+// resource is the serving machinery of one kind: its LRU of rendered sets,
+// its singleflights, its store, and the kind's hooks.
+type resource[K cmp.Ordered] struct {
 	Kind[K]
 	srv   *Server
 	store store.Store // nil = memory only
-	cache *resourceCache[V]
-	runs  *flightGroup // one run per key
+	keys  []string    // the artifacts every complete set holds (a seed's figures aside)
+	cache *resourceCache
+	runs  *flightGroup // one run, and so one render, per key
 	loads *flightGroup // one store restore per key
 
-	mu         sync.Mutex
-	ids        map[int64]K    // key → id of every resource run or restored; listings translate through it
-	persisting map[int64]bool // keys with a write-behind save in flight
+	mu  sync.Mutex
+	ids map[int64]K // key → id of every resource run or restored; listings translate through it
 
 	// start runs one resource on demand (seeds); nil when a run needs input
 	// only a client can supply (a history's upload body).
-	start func(ctx context.Context, id K) (V, error)
-	// memo is the artifact set a run yields already rendered (nil = the
-	// artifacts render lazily, from the live value).
-	memo func(V) map[string][]byte
-	// snapshot builds the write-behind's snapshot of a run; persist fills
-	// in the key, id and timestamp.
-	snapshot func(ctx context.Context, v V) (*store.Snapshot, error)
+	start runFunc[K]
 	// storedIDs lists the ids in the store.
 	storedIDs func(ctx context.Context) ([]K, error)
 	// describe adds the kind's fields to a resource descriptor.
 	describe func(key int64, desc map[string]any)
 }
 
-func newResource[K cmp.Ordered, V any](s *Server, kind Kind[K], st store.Store) *resource[K, V] {
-	return &resource[K, V]{
-		Kind:       kind,
-		srv:        s,
-		store:      st,
-		cache:      newResourceCache[V](s.opts.CacheSize, s.metrics),
-		runs:       newFlightGroup(),
-		loads:      newFlightGroup(),
-		ids:        map[int64]K{},
-		persisting: map[int64]bool{},
+func newResource[K cmp.Ordered](s *Server, kind Kind[K], st store.Store, keys []string) *resource[K] {
+	return &resource[K]{
+		Kind:  kind,
+		srv:   s,
+		store: st,
+		keys:  keys,
+		cache: newResourceCache(s.opts.CacheSize, s.metrics),
+		runs:  newFlightGroup(),
+		loads: newFlightGroup(),
+		ids:   map[int64]K{},
 	}
 }
 
-// mount registers the kind's routes; artifact serves one artifact.
-func (r *resource[K, V]) mount(mux *http.ServeMux, artifact http.HandlerFunc) {
+// mount registers the kind's routes.
+func (r *resource[K]) mount(mux *http.ServeMux) {
 	base := "GET /v1/" + r.Plural
 	mux.HandleFunc(base, r.handleList)
 	mux.HandleFunc(base+"/{id}", r.handleGet)
-	mux.HandleFunc(base+"/{id}/artifacts/{key}", artifact)
+	mux.HandleFunc(base+"/{id}/artifacts/{key}", r.handleArtifact)
 	mux.HandleFunc(base+"/{id}/events", r.handleEvents)
 }
 
 // parse reads the {id} path value, answering 400 when it is malformed.
-func (r *resource[K, V]) parse(w http.ResponseWriter, req *http.Request) (K, bool) {
+func (r *resource[K]) parse(w http.ResponseWriter, req *http.Request) (K, bool) {
 	id, err := r.Parse(req.PathValue("id"))
 	if err != nil {
 		var zero K
@@ -264,14 +281,14 @@ func (r *resource[K, V]) parse(w http.ResponseWriter, req *http.Request) (K, boo
 	return id, true
 }
 
-func (r *resource[K, V]) register(key int64, id K) {
+func (r *resource[K]) register(key int64, id K) {
 	r.mu.Lock()
 	r.ids[key] = id
 	r.mu.Unlock()
 }
 
 // cachedIDs lists the cached resources, most recently used first.
-func (r *resource[K, V]) cachedIDs() []K {
+func (r *resource[K]) cachedIDs() []K {
 	keys := r.cache.Seeds()
 	out := make([]K, 0, len(keys))
 	r.mu.Lock()
@@ -284,10 +301,80 @@ func (r *resource[K, V]) cachedIDs() []K {
 	return out
 }
 
-// lookup is the memo half of the read path: a memo hit, else a store
-// restore and a second look. Each hit counts as one cache hit or miss, so
-// hits + misses stays balanced with the request count.
-func (r *resource[K, V]) lookup(ctx context.Context, id K, artifact string) ([]byte, bool) {
+// handleArtifact serves one rendered artifact through the one read path:
+// a cache hit, else a store restore, else the key's run — joined while in
+// flight, started on demand by a kind that can. A history neither cached,
+// stored nor in flight is a 404: the daemon keeps no upload bodies.
+func (r *resource[K]) handleArtifact(w http.ResponseWriter, req *http.Request) {
+	id, ok := r.parse(w, req)
+	if !ok {
+		return
+	}
+	key := req.PathValue("key")
+	if name := req.PathValue("name"); name != "" { // a seed's figures route
+		if key = figurePrefix + name; !strings.HasSuffix(name, ".svg") {
+			r.Ref(id).Write(w, http.StatusNotFound, "figure names end in .svg")
+			return
+		}
+	} else if !slices.Contains(r.keys, key) {
+		r.Ref(id).Write(w, http.StatusNotFound, fmt.Sprintf("unknown artifact %q; a %s has %v", key, r.Name, r.keys))
+		return
+	}
+	start := time.Now()
+	b, err := r.artifact(req.Context(), id, key)
+	if nf, ok := err.(notFound); ok {
+		r.Ref(id).Write(w, http.StatusNotFound, string(nf))
+		return
+	} else if err != nil {
+		failRun(w, r.Ref(id), err)
+		return
+	}
+	w.Header().Set("Content-Type", contentTypeFor(key))
+	w.Write(b)
+	label := key
+	if strings.HasPrefix(key, figurePrefix) {
+		label = "figures"
+	}
+	r.srv.metrics.ObserveLatency(label, time.Since(start))
+}
+
+// artifact resolves one artifact of id through the read path.
+func (r *resource[K]) artifact(ctx context.Context, id K, key string) ([]byte, error) {
+	if b, ok := r.lookup(ctx, id, key); ok {
+		return b, nil
+	}
+	unknown := notFound(fmt.Sprintf("unknown artifact %q", key))
+	if name, ok := strings.CutPrefix(key, figurePrefix); ok {
+		unknown = notFound(fmt.Sprintf("unknown figure %q", name))
+		// A cached set carries every figure: a name missing from it is
+		// unknown, and a run would not change that.
+		if r.cache.HoldsPrefix(r.Key(id), figurePrefix) {
+			return nil, unknown
+		}
+	}
+	f, _ := r.flightFor(id, r.start)
+	if f == nil {
+		if b, ok := r.cache.GetArtifact(r.Key(id), key); ok { // a run settled in between
+			r.srv.metrics.cacheMisses.Add(1)
+			return b, nil
+		}
+		return nil, notFound(fmt.Sprintf("unknown %s; POST the %s to /v1/%s first (re-uploads deduplicate)",
+			r.Name, r.Name, r.Plural))
+	}
+	arts, err := r.await(ctx, id, f)
+	if err != nil {
+		return nil, err
+	}
+	if b, ok := arts[key]; ok {
+		return b, nil
+	}
+	return nil, unknown
+}
+
+// lookup is the cache half of the read path: a hit, else a store restore
+// and a second look. Each hit counts as one cache hit or miss, so hits +
+// misses stays balanced with the request count.
+func (r *resource[K]) lookup(ctx context.Context, id K, artifact string) ([]byte, bool) {
 	key := r.Key(id)
 	if b, ok := r.cache.GetArtifact(key, artifact); ok {
 		r.srv.metrics.cacheHits.Add(1)
@@ -302,86 +389,141 @@ func (r *resource[K, V]) lookup(ctx context.Context, id K, artifact string) ([]b
 	return nil, false
 }
 
-// run resolves id to its live value: a cache hit, a join of the in-flight
-// run, or a fresh execution of fn. ctx only bounds this caller's wait — the
-// run itself is detached, so a run that loses its caller still completes,
-// fills the cache and schedules its snapshot save. ran reports whether this
-// call executed fn.
-func (r *resource[K, V]) run(ctx context.Context, id K, fn func(context.Context, K) (V, error)) (V, bool, error) {
-	key := r.Key(id)
-	m := r.srv.metrics
-	if v, ok := r.cache.Get(key); ok {
-		m.cacheHits.Add(1)
-		return v, false, nil
+// flightFor returns the flight that settles id for a caller that missed the
+// cache, counting the miss: id's run in progress, else a new run of run on
+// its own goroutine (started), else nil when run is nil.
+func (r *resource[K]) flightFor(id K, run runFunc[K]) (f *flight, started bool) {
+	key, m := r.Key(id), r.srv.metrics
+	if run == nil {
+		f = r.runs.lookup(key)
+	} else {
+		f, started = r.runs.join(key)
+	}
+	if f == nil {
+		return nil, false
 	}
 	m.cacheMisses.Add(1)
-	// Written by the flight goroutine; read only after its result arrives.
-	ran := false
-	ch := r.runs.DoChan(key, func() (any, error) {
-		// Re-check under the flight: a run that completed between this
-		// caller's miss and its flight creation has already filled the cache.
-		if v, ok := r.cache.Get(key); ok {
-			return v, nil
-		}
-		ran = true
-		v, err := fn(r.srv.runContext(key), id)
+	if !started {
+		m.flightJoins.Add(1)
+		return f, false
+	}
+	// A run that settled between the caller's miss and this flight has
+	// already cached its complete set: serve that instead of a second run.
+	if arts, ok := r.cache.Artifacts(key); ok && !slices.ContainsFunc(r.keys, func(k string) bool {
+		_, ok := arts[k]
+		return !ok
+	}) {
+		r.runs.finish(key, f, arts, nil)
+		return f, false
+	}
+	r.srv.persistWG.Add(1)
+	go r.execute(id, f, run)
+	return f, true
+}
+
+// execute is the one run of id behind f: the run, then — its outcome
+// already released to event streams — the one render of the result, the
+// install into the cache and the write-behind save to the store, so the
+// next daemon generation restores the set instead of running. A failed or
+// panicking run or render caches and persists nothing; its waiters get the
+// error and the next request runs afresh. SyncStore waits for all of it.
+func (r *resource[K]) execute(id K, f *flight, run runFunc[K]) {
+	defer r.srv.persistWG.Done()
+	key, log := r.Key(id), r.srv.opts.Logger
+	// The render and the save belong to the daemon, not to a request. Their
+	// spans go to the shared tracer: stage metrics and the firehose see
+	// them, the run's own event stream does not.
+	ctx := obs.WithLogger(obs.WithTracer(context.Background(), r.srv.tracer), log)
+	start := time.Now()
+	snap, err := func() (snap *store.Snapshot, err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("%s %s: panicked: %v", r.Name, r.Format(id), p)
+			}
+		}()
+		render, err := run(r.srv.runContext(key), id)
 		if err != nil {
 			return nil, err
 		}
-		r.install(id, v)
-		return v, nil
-	})
+		f.markRan(nil)
+		return render(ctx)
+	}()
+	if err != nil {
+		log.Warn("run failed", r.Name, r.Format(id), "err", err)
+		r.runs.finish(key, f, nil, err)
+		return
+	}
+	r.cache.Install(key, snap.Artifacts)
+	r.register(key, id)
+	r.runs.finish(key, f, snap.Artifacts, nil)
+	if r.store == nil {
+		return
+	}
+	// Let the waiters that finish just woke answer before the save's
+	// blocking file I/O holds this goroutine's processor.
+	runtime.Gosched()
+	snap.Seed, snap.SavedAt = key, time.Now().UTC()
+	if r.Addressed {
+		snap.ID = r.Format(id)
+	}
+	if err := r.store.Put(ctx, key, snap); err != nil {
+		log.Error("snapshot save failed", r.Name, r.Format(id), "err", err)
+		return
+	}
+	r.srv.metrics.storeSaves.Add(1)
+	log.Info("snapshot saved to store", r.Name, r.Format(id),
+		"artifacts", len(snap.Artifacts), "took", time.Since(start).Round(time.Millisecond))
+}
+
+// await waits for f on behalf of one request and returns its rendered set.
+// ctx bounds only this caller's wait: the run is detached, so one that
+// loses its caller still renders, fills the cache and saves.
+func (r *resource[K]) await(ctx context.Context, id K, f *flight) (map[string][]byte, error) {
 	select {
+	case <-f.done:
+		arts, _ := f.val.(map[string][]byte)
+		return arts, f.err
 	case <-ctx.Done():
-		m.timeouts.Add(1)
-		if r.runs.Inflight(key) {
+		r.srv.metrics.timeouts.Add(1)
+		select {
+		case <-f.done:
+		default:
 			// The waiter gives up but the run keeps going: an orphaned run.
-			m.orphanedRuns.Add(1)
+			r.srv.metrics.orphanedRuns.Add(1)
 			r.srv.opts.Logger.Warn("request abandoned in-flight run", r.Name, r.Format(id))
 		}
-		var zero V
-		return zero, false, ctx.Err()
-	case res := <-ch:
-		if res.Shared {
-			m.flightJoins.Add(1)
-		}
-		if res.Err != nil {
-			var zero V
-			return zero, false, res.Err
-		}
-		return res.Val.(V), ran && !res.Shared, nil
+		return nil, ctx.Err()
 	}
 }
 
-// install caches a completed run, memoizes what it rendered, and schedules
-// its write-behind.
-func (r *resource[K, V]) install(id K, v V) {
-	key := r.Key(id)
-	r.cache.Put(key, v)
-	if r.memo != nil {
-		r.cache.MergeArtifacts(key, r.memo(v))
+// adopt hands a run completed outside the flights (the instrumented
+// /v1/debug/trace run) to the one render, install and save — unless a run
+// of id is in flight already. It returns the flight that settles id.
+func (r *resource[K]) adopt(id K, render renderFunc) *flight {
+	f, started := r.runs.join(r.Key(id))
+	if started {
+		r.srv.persistWG.Add(1)
+		go r.execute(id, f, func(context.Context, K) (renderFunc, error) { return render, nil })
 	}
-	r.register(key, id)
-	r.schedulePersist(id, v)
+	return f
 }
 
 // ensure makes id servable warm: already cached, restored from the store,
-// or — as the last resort — run.
-func (r *resource[K, V]) ensure(ctx context.Context, id K) error {
-	if !r.cache.Has(r.Key(id)) {
-		r.restore(ctx, id)
-	}
-	if r.cache.Has(r.Key(id)) {
+// or — as the last resort — run and rendered.
+func (r *resource[K]) ensure(ctx context.Context, id K) error {
+	if r.restore(ctx, id); r.cache.Has(r.Key(id)) {
 		return nil
 	}
-	_, _, err := r.run(ctx, id, r.start)
+	f, _ := r.flightFor(id, r.start)
+	_, err := r.await(ctx, id, f)
 	return err
 }
 
-// restore is the store read-through for an id not yet cached. Concurrent
-// callers collapse onto one load. It never fails the request: a missing,
-// damaged or foreign snapshot is counted and degrades to "not restored".
-func (r *resource[K, V]) restore(ctx context.Context, id K) {
+// restore is the store read-through for an id not yet cached, the
+// warm-restart path. Concurrent callers collapse onto one load. It never
+// fails the request: a missing, damaged or foreign snapshot is counted and
+// degrades to "not restored" — a cold run, whose save replaces it.
+func (r *resource[K]) restore(ctx context.Context, id K) {
 	key := r.Key(id)
 	if r.store == nil || r.cache.Has(key) {
 		return
@@ -401,7 +543,7 @@ func (r *resource[K, V]) restore(ctx context.Context, id K) {
 				r.Name, r.Format(id), "stored", snap.ID)
 		case err == nil:
 			r.srv.metrics.storeHits.Add(1)
-			r.cache.InstallSnapshot(key, snap.Artifacts)
+			r.cache.Install(key, snap.Artifacts)
 			r.register(key, id)
 			log.Info("snapshot restored from store",
 				r.Name, r.Format(id), "artifacts", len(snap.Artifacts), "saved_at", snap.SavedAt)
@@ -416,7 +558,7 @@ func (r *resource[K, V]) restore(ctx context.Context, id K) {
 }
 
 // stored lists the ids in the store (none without one).
-func (r *resource[K, V]) stored(ctx context.Context) []K {
+func (r *resource[K]) stored(ctx context.Context) []K {
 	if r.store == nil {
 		return nil
 	}
@@ -427,8 +569,8 @@ func (r *resource[K, V]) stored(ctx context.Context) []K {
 // handleList reports which resources are warm (cached, most recent first)
 // and which are durable in the store. With ?limit= or ?cursor= it answers
 // one paginated ascending list of their union plus a next_cursor.
-func (r *resource[K, V]) handleList(w http.ResponseWriter, req *http.Request) {
-	pr, err := ParsePage(req)
+func (r *resource[K]) handleList(w http.ResponseWriter, req *http.Request) {
+	pr, err := r.ParsePage(req)
 	if err != nil {
 		var zero K
 		r.Ref(zero).Write(w, http.StatusBadRequest, err.Error())
@@ -451,7 +593,7 @@ func (r *resource[K, V]) handleList(w http.ResponseWriter, req *http.Request) {
 // handleGet describes one resource: identity, warmth, durability. A kind
 // that cannot start runs does not know an id it has neither cached nor
 // stored.
-func (r *resource[K, V]) handleGet(w http.ResponseWriter, req *http.Request) {
+func (r *resource[K]) handleGet(w http.ResponseWriter, req *http.Request) {
 	id, ok := r.parse(w, req)
 	if !ok {
 		return

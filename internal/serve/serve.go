@@ -1,9 +1,9 @@
 // Package serve is the HTTP layer of schemaevod: it exposes the full study
-// pipeline as a versioned /v1 API backed by a bounded LRU cache of completed
-// studies, a per-(seed, artifact) render memo, singleflight deduplication,
-// and an optional persistent snapshot store — so any number of concurrent
-// requests for one seed trigger exactly one pipeline run, and a restarted
-// daemon serves previously-seen seeds without any run at all. The package
+// pipeline as a versioned /v1 API backed by a bounded LRU cache of rendered
+// artifact sets, singleflight deduplication, and an optional persistent
+// snapshot store — so any number of concurrent requests for one seed
+// trigger exactly one pipeline run and one render of its full set, and a
+// restarted daemon serves previously-seen seeds without any run at all. The package
 // also carries the daemon's observability surface (/v1/healthz, /v1/metrics)
 // and the graceful-shutdown loop. Pure stdlib.
 //
@@ -41,18 +41,19 @@ import (
 	"sync"
 	"time"
 
-	"github.com/schemaevo/schemaevo/internal/ingest"
 	"github.com/schemaevo/schemaevo/internal/obs"
 	"github.com/schemaevo/schemaevo/internal/store"
 	"github.com/schemaevo/schemaevo/internal/study"
 )
 
 // Options configures a Server. The zero value serves with sensible
-// defaults: an 8-study cache, a 60-second request deadline, the real
+// defaults: an 8-seed cache, a 60-second request deadline, the real
 // pipeline as runner, and no persistence.
 type Options struct {
-	// CacheSize bounds the number of seeds kept in memory — live studies and
-	// store-restored snapshots alike (default 8; a full entry is a few MB).
+	// CacheSize bounds the number of seeds kept in memory (default 8). An
+	// entry is one rendered artifact set — ~0.4 MB for seed 1 — whether a
+	// run rendered it or a snapshot restored it. A seed's live study
+	// (~165 MB) exists only while its one render runs.
 	CacheSize int
 	// Timeout is the per-request deadline. Requests that exceed it get 504,
 	// but an underlying pipeline run keeps going and still fills the cache.
@@ -62,10 +63,10 @@ type Options struct {
 	// tracer, so pipeline stages feed the schemaevo_stage_* metric families.
 	// Tests substitute fakes; wrap a plain function with RunnerFunc.
 	Runner Runner
-	// Store persists completed studies as snapshots (nil = memory only).
-	// It sits under the LRU as a read-through / write-behind tier: misses
-	// consult it before running the pipeline, completed runs are snapshotted
-	// asynchronously, and a restarted daemon serves every stored seed
+	// Store persists rendered artifact sets as snapshots (nil = memory
+	// only). It sits under the LRU as a read-through / write-behind tier:
+	// misses consult it before running the pipeline, every run saves the
+	// set it rendered, and a restarted daemon serves every stored seed
 	// without a single run.
 	Store store.Store
 	// GC bounds the persistent store's retention (snapshot count and age).
@@ -110,22 +111,23 @@ type Options struct {
 	Logger *slog.Logger
 }
 
-// Server serves cached studies over HTTP. Create with New; the type is an
+// Server serves rendered study artifacts over HTTP. Create with New; the type is an
 // http.Handler.
 type Server struct {
 	opts      Options
-	seeds     *resource[int64, *study.Study]    // built-in corpus seeds
-	histories *resource[string, *ingest.Result] // ingested DDL histories
+	seeds     *resource[int64]  // built-in corpus seeds
+	histories *resource[string] // ingested DDL histories
 	metrics   *Metrics
 	tracer    *obs.Tracer // metrics-only: feeds stage histograms, retains no spans
 	bus       *obs.Bus    // live span events for the SSE endpoints
 	mux       *http.ServeMux
-	persistWG sync.WaitGroup // write-behind saves in flight, both kinds
+	persistWG sync.WaitGroup // runs in flight through their render and save, both kinds
 
-	// render produces a study's complete artifact set for the write-behind.
-	// It is renderAll in production; tests substitute a stub so persistence
-	// mechanics can be exercised without paying for real renders.
-	render func(ctx context.Context, st *study.Study) (map[string][]byte, error)
+	// render produces a study's complete artifact set, once per seed run.
+	// It is renderAll in production; tests substitute a stub so serving and
+	// persistence mechanics can be exercised without paying for real
+	// renders.
+	render func(ctx context.Context, st *study.Study) (*store.Snapshot, error)
 }
 
 // New builds a Server from opts.
@@ -158,9 +160,9 @@ func New(opts Options) *Server {
 	s.tracer = obs.NewTracer(obs.Options{Stages: s.metrics.stages, Logger: opts.Logger, Bus: s.bus})
 
 	mux := http.NewServeMux()
-	s.seeds.mount(mux, s.handleArtifact)
-	mux.HandleFunc("GET /v1/seeds/{id}/figures/{name}", s.handleFigure)
-	s.histories.mount(mux, s.handleHistoryArtifact)
+	s.seeds.mount(mux)
+	mux.HandleFunc("GET /v1/seeds/{id}/figures/{name}", s.seeds.handleArtifact)
+	s.histories.mount(mux)
 	mux.HandleFunc("POST /v1/histories", s.handleIngest)
 	mux.HandleFunc("GET /v1/experiments", s.handleExperiments)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealth)
@@ -241,7 +243,7 @@ func (s *Server) runContext(key int64) context.Context {
 func (s *Server) Prewarm(ctx context.Context, seeds []int64) error {
 	workers := s.opts.PrewarmWorkers
 	if workers <= 0 {
-		workers = maxInt(1, runtime.GOMAXPROCS(0)/2)
+		workers = max(1, runtime.GOMAXPROCS(0)/2)
 	}
 	sem := make(chan struct{}, workers)
 	errs := make([]error, len(seeds))
@@ -271,12 +273,11 @@ func (s *Server) Prewarm(ctx context.Context, seeds []int64) error {
 	return nil
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
+// SyncStore blocks until every started run has rendered and saved its
+// set. Prewarm calls it so prewarmed seeds are durable before traffic; the
+// graceful-shutdown path calls it so a drained daemon leaves a complete
+// store behind.
+func (s *Server) SyncStore() { s.persistWG.Wait() }
 
 // handleExperiments lists the experiment keys the artifact endpoint accepts.
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/schemaevo/schemaevo/internal/store"
 	"github.com/schemaevo/schemaevo/internal/study"
 )
 
@@ -34,6 +35,41 @@ func realRunner(tb testing.TB) func(context.Context, int64) (*study.Study, error
 	}
 }
 
+// realRender is renderAll of the shared seed-1 study, rendered once for the
+// whole package (a full render costs seconds).
+var realRender = sync.OnceValues(func() (*store.Snapshot, error) {
+	st, err := realStudy()
+	if err != nil {
+		return nil, err
+	}
+	return renderAll(context.Background(), st)
+})
+
+// sharedRender is the render seam for servers whose runner returns the
+// shared seed-1 study: each run gets its own snapshot of the bytes
+// realRender produced once. Any other study renders for real.
+func sharedRender(ctx context.Context, st *study.Study) (*store.Snapshot, error) {
+	if real, _ := realStudy(); st != real {
+		return renderAll(ctx, st)
+	}
+	snap, err := realRender()
+	if err != nil {
+		return nil, err
+	}
+	return &store.Snapshot{Summary: snap.Summary, Artifacts: snap.Artifacts}, nil
+}
+
+// stubRender is the render seam for runners that return bare stub studies,
+// which the real render cannot read: a complete set — every artifact key
+// and one figure — of bytes naming the seed.
+func stubRender(_ context.Context, st *study.Study) (*store.Snapshot, error) {
+	arts := map[string][]byte{figurePrefix + "stub.svg": []byte("<svg>stub</svg>")}
+	for _, key := range seedArtifactKeys {
+		arts[key] = []byte(fmt.Sprintf("stub %s for seed %d\n", key, st.Seed))
+	}
+	return &store.Snapshot{Summary: study.Summary{Seed: st.Seed}, Artifacts: arts}, nil
+}
+
 func get(t *testing.T, ts *httptest.Server, path string) (int, string, http.Header) {
 	t.Helper()
 	resp, err := ts.Client().Get(ts.URL + path)
@@ -50,6 +86,7 @@ func get(t *testing.T, ts *httptest.Server, path string) (int, string, http.Head
 
 func TestEndpoints(t *testing.T) {
 	srv := New(Options{Runner: RunnerFunc(realRunner(t))})
+	srv.render = sharedRender
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -203,6 +240,7 @@ func TestConcurrentRequests(t *testing.T) {
 		return &study.Study{Seed: seed}, nil
 	}
 	srv := New(Options{CacheSize: seedCount, Timeout: 30 * time.Second, Runner: RunnerFunc(runner)})
+	srv.render = stubRender
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -275,6 +313,7 @@ func TestRequestTimeout(t *testing.T) {
 		return &study.Study{Seed: seed}, nil
 	}
 	srv := New(Options{Timeout: 30 * time.Millisecond, Runner: RunnerFunc(runner)})
+	srv.render = stubRender
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -283,10 +322,10 @@ func TestRequestTimeout(t *testing.T) {
 		t.Fatalf("status %d: %s", code, body)
 	}
 	close(release)
-	// The orphaned flight must finish and cache the study; poll briefly.
+	// The orphaned flight must finish and cache the rendered set; poll briefly.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if _, ok := srv.seeds.cache.Get(9); ok {
+		if srv.seeds.cache.Has(9) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -329,6 +368,7 @@ func TestPrewarm(t *testing.T) {
 		return &study.Study{Seed: seed}, nil
 	}
 	srv := New(Options{CacheSize: 4, Runner: RunnerFunc(runner)})
+	srv.render = stubRender
 	if err := srv.Prewarm(context.Background(), []int64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}

@@ -5,92 +5,92 @@ import (
 	"sync"
 )
 
-// flightGroup deduplicates concurrent runs per key: the first
-// caller executes fn, every caller that arrives while the run is in flight
-// blocks on the same result. Unlike golang.org/x/sync/singleflight this is
-// specialised to int64 keys, so no extra dependency.
+// flightGroup deduplicates concurrent work per key: the first caller owns
+// the flight and settles it, every caller that arrives while it is in
+// flight waits on the same outcome. Unlike golang.org/x/sync/singleflight
+// this is specialised to int64 keys, so no extra dependency.
 type flightGroup struct {
 	mu      sync.Mutex
 	flights map[int64]*flight
 }
 
+// flight is one piece of work in progress. A run flight settles in two
+// steps: ran closes when the run proper ends (a seed's pipeline, which is
+// when its event streams send their result), done when the rendered set is
+// final. Only the owner writes the fields, each before closing the channel
+// that publishes it.
 type flight struct {
-	done chan struct{} // closed when val/err are final
-	val  any
-	err  error
+	ran    chan struct{} // closed once runErr is final; at the latest with done
+	done   chan struct{} // closed once val and err are final
+	runErr error
+	val    any
+	err    error
 }
 
 func newFlightGroup() *flightGroup {
 	return &flightGroup{flights: map[int64]*flight{}}
 }
 
-// Do executes fn for key, collapsing concurrent calls onto one execution.
-// shared reports whether this caller joined an already in-flight run. A
-// panic in fn settles the flight like any failure — every caller gets it
-// back as an error, and the next Do for the key runs fn afresh.
-func (g *flightGroup) Do(key int64, fn func() (any, error)) (val any, err error, shared bool) {
+// join returns key's flight in progress, or registers a new one and reports
+// started: the caller then owns it and must settle it with finish.
+func (g *flightGroup) join(key int64) (f *flight, started bool) {
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	if f, ok := g.flights[key]; ok {
-		g.mu.Unlock()
+		return f, false
+	}
+	f = &flight{ran: make(chan struct{}), done: make(chan struct{})}
+	g.flights[key] = f
+	return f, true
+}
+
+// lookup returns key's flight in progress, or nil. Unlike join it never
+// registers one — the probe for a caller that cannot start the work itself.
+func (g *flightGroup) lookup(key int64) *flight {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.flights[key]
+}
+
+// markRan publishes the outcome of the run proper. Owner only; later calls
+// are no-ops.
+func (f *flight) markRan(err error) {
+	select {
+	case <-f.ran:
+	default:
+		f.runErr = err
+		close(f.ran)
+	}
+}
+
+// finish settles f — which key's owner holds — with its final outcome and
+// frees key for the next flight.
+func (g *flightGroup) finish(key int64, f *flight, val any, err error) {
+	f.markRan(err)
+	f.val, f.err = val, err
+	g.mu.Lock()
+	delete(g.flights, key)
+	g.mu.Unlock()
+	close(f.done)
+}
+
+// Do executes fn for key in the calling goroutine, collapsing concurrent
+// calls onto one execution. shared reports whether this caller joined an
+// already in-flight call. A panic in fn settles the flight like any failure
+// — every caller gets it back as an error, and the next Do for the key runs
+// fn afresh.
+func (g *flightGroup) Do(key int64, fn func() (any, error)) (val any, err error, shared bool) {
+	f, started := g.join(key)
+	if !started {
 		<-f.done
 		return f.val, f.err, true
 	}
-	f := &flight{done: make(chan struct{})}
-	g.flights[key] = f
-	g.mu.Unlock()
-
 	defer func() {
 		if p := recover(); p != nil {
-			f.val, f.err = nil, fmt.Errorf("serve: run for key %d panicked: %v", key, p)
-			val, err = f.val, f.err
+			val, err = nil, fmt.Errorf("serve: work for key %d panicked: %v", key, p)
 		}
-		g.mu.Lock()
-		delete(g.flights, key)
-		g.mu.Unlock()
-		close(f.done)
+		g.finish(key, f, val, err)
 	}()
-	f.val, f.err = fn()
-	return f.val, f.err, false
-}
-
-// Inflight reports whether a run for key is currently executing — the probe
-// the orphaned-run counter uses when a waiter times out.
-func (g *flightGroup) Inflight(key int64) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	_, ok := g.flights[key]
-	return ok
-}
-
-// Wait returns a channel that closes when the currently in-flight run for
-// key settles (its result already published to the caches), or nil when no
-// run is in flight. Unlike Do it never starts a run — the probe an event
-// stream uses to join a run it cannot trigger itself.
-func (g *flightGroup) Wait(key int64) <-chan struct{} {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if f, ok := g.flights[key]; ok {
-		return f.done
-	}
-	return nil
-}
-
-// DoChan is the non-blocking variant: the result is delivered on the
-// returned channel, letting the caller race it against a context deadline
-// while the run keeps going (and still populates the cache) after the
-// caller gives up.
-func (g *flightGroup) DoChan(key int64, fn func() (any, error)) <-chan flightResult {
-	ch := make(chan flightResult, 1)
-	go func() {
-		val, err, shared := g.Do(key, fn)
-		ch <- flightResult{Val: val, Err: err, Shared: shared}
-	}()
-	return ch
-}
-
-// flightResult is one Do outcome delivered through DoChan.
-type flightResult struct {
-	Val    any
-	Err    error
-	Shared bool
+	val, err = fn()
+	return val, err, false
 }

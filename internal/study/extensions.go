@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 	"time"
 
@@ -497,15 +496,6 @@ func (s *Study) ExportJSON() (string, error) {
 // every measure and the assigned taxon — mirroring the study's public data
 // release.
 func (s *Study) ExportCSV() string {
-	var b strings.Builder
-	s.WriteCSV(&b)
-	return b.String()
-}
-
-// WriteCSV streams the per-project dataset into w row by row — the chunked
-// form of ExportCSV the serving layer uses to bound per-request memory.
-// Bytes are identical to ExportCSV().
-func (s *Study) WriteCSV(w io.Writer) error {
 	tb := report.NewTable("",
 		"project", "taxon", "commits", "active_commits", "reeds", "turf",
 		"expansion", "maintenance", "total_activity",
@@ -523,5 +513,5 @@ func (s *Study) WriteCSV(w io.Writer) error {
 			fmt.Sprint(m.FKsStart), fmt.Sprint(m.FKsEnd), fmt.Sprint(m.FKAdded), fmt.Sprint(m.FKRemoved),
 			fmt.Sprint(m.SUPMonths), fmt.Sprint(m.PUPMonths), fmt.Sprintf("%.4f", m.DDLShare))
 	}
-	return tb.WriteCSV(w)
+	return tb.CSV()
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"html/template"
-	"io"
 	"sort"
 	"strings"
 )
@@ -14,17 +13,15 @@ import (
 // inline as SVG. The output has no external dependencies — it opens directly
 // in a browser.
 func (s *Study) HTMLReport(ctx context.Context) (string, error) {
-	var b strings.Builder
-	if err := s.WriteHTMLReport(ctx, &b); err != nil {
-		return "", err
-	}
-	return b.String(), nil
+	return s.ComposeHTMLReport(s.Everything(ctx), s.SVGFigures())
 }
 
-// WriteHTMLReport streams the report into w as the template executes — the
-// chunked form of HTMLReport the serving layer uses to bound per-request
-// memory. Bytes are identical to HTMLReport().
-func (s *Study) WriteHTMLReport(ctx context.Context, w io.Writer) error {
+// ComposeHTMLReport assembles the HTML report from parts already rendered:
+// the experiment texts in presentation order (as Everything returns them)
+// and the figures keyed by file name (as SVGFigures returns them). A caller
+// that renders the full artifact set anyway builds the report from it
+// without running any experiment a second time. Bytes equal HTMLReport's.
+func (s *Study) ComposeHTMLReport(texts []string, figs map[string]string) (string, error) {
 	type section struct {
 		Title string
 		Body  string
@@ -45,14 +42,13 @@ func (s *Study) WriteHTMLReport(ctx context.Context, w io.Writer) error {
 		Taxa:    s.TaxonCounts(),
 	}
 
-	for _, body := range s.Everything(ctx) {
+	for _, body := range texts {
 		title := body
 		if i := strings.IndexByte(body, '\n'); i > 0 {
 			title = body[:i]
 		}
 		data.Sections = append(data.Sections, section{Title: title, Body: body})
 	}
-	figs := s.SVGFigures()
 	names := make([]string, 0, len(figs))
 	for name := range figs {
 		names = append(names, name)
@@ -64,11 +60,12 @@ func (s *Study) WriteHTMLReport(ctx context.Context, w io.Writer) error {
 		data.Figures = append(data.Figures, figure{Name: name, SVG: template.HTML(figs[name])})
 	}
 
+	var b strings.Builder
 	tmpl := template.Must(template.New("report").Parse(htmlReportTemplate))
-	if err := tmpl.Execute(w, data); err != nil {
-		return fmt.Errorf("study: html report: %w", err)
+	if err := tmpl.Execute(&b, data); err != nil {
+		return "", fmt.Errorf("study: html report: %w", err)
 	}
-	return nil
+	return b.String(), nil
 }
 
 const htmlReportTemplate = `<!DOCTYPE html>

@@ -347,32 +347,26 @@ func TestExportCSV(t *testing.T) {
 	}
 }
 
-// The chunked writers behind the streaming artifact routes must produce
-// byte-identical output to their materialising counterparts — the golden
-// files and every cached copy depend on it.
-func TestWriteCSVMatchesExportCSV(t *testing.T) {
+// ComposeHTMLReport over parts rendered one by one must equal HTMLReport
+// byte for byte — the serving layer builds report.html from the artifact set
+// it has just rendered, and the goldens and stored copies depend on it.
+func TestComposeHTMLReportMatchesHTMLReport(t *testing.T) {
 	s := getStudy(t)
-	var b strings.Builder
-	if err := s.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	if b.String() != s.ExportCSV() {
-		t.Error("WriteCSV bytes differ from ExportCSV")
-	}
-}
-
-func TestWriteHTMLReportMatchesHTMLReport(t *testing.T) {
-	s := getStudy(t)
-	want, err := s.HTMLReport(context.Background())
+	ctx := context.Background()
+	want, err := s.HTMLReport(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b strings.Builder
-	if err := s.WriteHTMLReport(context.Background(), &b); err != nil {
+	var texts []string
+	for _, e := range Experiments() {
+		texts = append(texts, e.Render(ctx, s))
+	}
+	got, err := s.ComposeHTMLReport(texts, s.SVGFigures())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if b.String() != want {
-		t.Error("WriteHTMLReport bytes differ from HTMLReport")
+	if got != want {
+		t.Error("ComposeHTMLReport bytes differ from HTMLReport")
 	}
 }
 
