@@ -44,21 +44,20 @@ func contentTypeFor(key string) string {
 
 // renderAll renders a study's complete artifact set in one pass — every
 // registered experiment, all SVG figures and the three exports — as the
-// snapshot the cache and the store share. report.html is composed from the
-// experiment texts and figures rendered here, so no experiment runs twice.
+// snapshot the cache and the store share. The study memoizes experiment
+// texts, so report.html reuses the texts rendered here and no experiment
+// runs twice.
 func renderAll(ctx context.Context, st *study.Study) (*store.Snapshot, error) {
 	exps := study.Experiments()
-	texts := make([]string, len(exps))
 	figs := st.SVGFigures()
 	arts := make(map[string][]byte, len(exps)+len(figs)+3)
-	for i, e := range exps {
-		texts[i] = e.Render(ctx, st)
-		arts[e.Key] = []byte(texts[i])
+	for _, e := range exps {
+		arts[e.Key] = []byte(e.Render(ctx, st))
 	}
 	for name, svg := range figs {
 		arts[figurePrefix+name] = []byte(svg)
 	}
-	html, err := st.ComposeHTMLReport(texts, figs)
+	html, err := st.HTMLReport(ctx)
 	if err != nil {
 		return nil, err
 	}

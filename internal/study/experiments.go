@@ -20,11 +20,29 @@ type Experiment struct {
 
 // Render runs the experiment under the obs span "experiment.<key>", so both
 // the CLI trace and the daemon's stage metrics break latency down per
-// experiment.
+// experiment. The text is memoized on s: a later Render of the same
+// experiment on s returns it without running (and without a span). A text
+// rendered under a ctx that was cancelled by the end of the run may be
+// partial and is not memoized.
 func (e Experiment) Render(ctx context.Context, s *Study) string {
+	s.textsMu.Lock()
+	text, ok := s.texts[e.Key]
+	s.textsMu.Unlock()
+	if ok {
+		return text
+	}
 	ctx, span := obs.Start(ctx, "experiment."+e.Key)
-	defer span.End()
-	return e.Run(s, ctx)
+	text = e.Run(s, ctx)
+	span.End()
+	if ctx.Err() == nil {
+		s.textsMu.Lock()
+		if s.texts == nil {
+			s.texts = map[string]string{}
+		}
+		s.texts[e.Key] = text
+		s.textsMu.Unlock()
+	}
+	return text
 }
 
 // experimentTable lists every experiment in presentation order (E01–E26 of

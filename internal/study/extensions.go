@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/schemaevo/schemaevo/internal/core"
-	"github.com/schemaevo/schemaevo/internal/history"
 	"github.com/schemaevo/schemaevo/internal/report"
 	"github.com/schemaevo/schemaevo/internal/stats"
 	"github.com/schemaevo/schemaevo/internal/tables"
@@ -76,8 +75,9 @@ type GranularityRow struct {
 
 // Granularity re-runs measurement and classification after collapsing
 // commits closer than each window, quantifying the paper's claim that
-// commit habits do not change a project's aggregate profile.
-func (s *Study) Granularity(ctx context.Context, windows []time.Duration) ([]GranularityRow, error) {
+// commit habits do not change a project's aggregate profile. It reuses the
+// study's analyses (history.Analysis.Squash): nothing is parsed again.
+func (s *Study) Granularity(windows []time.Duration) []GranularityRow {
 	baseline := map[string]core.Taxon{}
 	for _, m := range s.Measures {
 		baseline[m.Project] = core.Classify(m)
@@ -87,12 +87,7 @@ func (s *Study) Granularity(ctx context.Context, windows []time.Duration) ([]Gra
 		row := GranularityRow{Window: w, Counts: map[core.Taxon]int{}}
 		var commitCounts []float64
 		for _, m := range s.Measures {
-			h := s.Analyses[m.Project].History.Squash(w)
-			a, err := history.AnalyzeContext(ctx, h)
-			if err != nil {
-				return nil, fmt.Errorf("study: granularity %s: %w", m.Project, err)
-			}
-			nm := core.Measure(a, s.ReedLimit)
+			nm := core.Measure(s.Analyses[m.Project].Squash(w), s.ReedLimit)
 			taxon := core.Classify(nm)
 			row.Counts[taxon]++
 			if taxon != baseline[m.Project] {
@@ -103,16 +98,12 @@ func (s *Study) Granularity(ctx context.Context, windows []time.Duration) ([]Gra
 		row.MedianCommits = stats.Median(commitCounts)
 		out = append(out, row)
 	}
-	return out, nil
+	return out
 }
 
 // RunGranularity renders E21.
 func (s *Study) RunGranularity(ctx context.Context) string {
-	windows := []time.Duration{0, 24 * time.Hour, 7 * 24 * time.Hour}
-	rows, err := s.Granularity(ctx, windows)
-	if err != nil {
-		return "E21 — error: " + err.Error() + "\n"
-	}
+	rows := s.Granularity([]time.Duration{0, 24 * time.Hour, 7 * 24 * time.Hour})
 	headers := []string{"squash window", "median #commits", "projects moved taxon"}
 	for _, t := range core.Taxa {
 		headers = append(headers, t.Short())
@@ -350,7 +341,9 @@ type ForecastRow struct {
 }
 
 // Forecast evaluates prefix-based taxon prediction at the given horizons.
-func (s *Study) Forecast(ctx context.Context, horizons []float64) ([]ForecastRow, error) {
+// It reuses the study's analyses (history.Analysis.Prefix): nothing is
+// parsed or diffed again.
+func (s *Study) Forecast(horizons []float64) []ForecastRow {
 	var out []ForecastRow
 	for _, h := range horizons {
 		row := ForecastRow{Horizon: h, Confusion: map[core.Taxon]map[core.Taxon]int{}}
@@ -361,12 +354,7 @@ func (s *Study) Forecast(ctx context.Context, horizons []float64) ([]ForecastRow
 			if k < 2 {
 				k = 2 // need at least one transition to observe anything
 			}
-			prefix := s.Analyses[m.Project].History.Prefix(k)
-			a, err := history.AnalyzeContext(ctx, prefix)
-			if err != nil {
-				return nil, fmt.Errorf("study: forecast %s: %w", m.Project, err)
-			}
-			predicted := core.Classify(core.Measure(a, s.ReedLimit))
+			predicted := core.Classify(core.Measure(s.Analyses[m.Project].Prefix(k), s.ReedLimit))
 			if row.Confusion[final] == nil {
 				row.Confusion[final] = map[core.Taxon]int{}
 			}
@@ -378,16 +366,12 @@ func (s *Study) Forecast(ctx context.Context, horizons []float64) ([]ForecastRow
 		row.Accuracy = float64(correct) / float64(len(s.Measures))
 		out = append(out, row)
 	}
-	return out, nil
+	return out
 }
 
 // RunForecast renders E23.
 func (s *Study) RunForecast(ctx context.Context) string {
-	horizons := []float64{0.25, 0.5, 0.75, 1.0}
-	rows, err := s.Forecast(ctx, horizons)
-	if err != nil {
-		return "E23 — error: " + err.Error() + "\n"
-	}
+	rows := s.Forecast([]float64{0.25, 0.5, 0.75, 1.0})
 	var b strings.Builder
 	b.WriteString("E23 — Early-life taxon forecasting (extension; §I motivation)\n")
 	b.WriteString("Classify each project on the first h·#commits versions; compare to final taxon.\n\n")

@@ -11,17 +11,11 @@ import (
 // HTMLReport renders the entire study as one self-contained HTML document:
 // the headline summary, every experiment's text artifact, and every figure
 // inline as SVG. The output has no external dependencies — it opens directly
-// in a browser.
+// in a browser. Experiment texts come through Experiment.Render, so the
+// report and the per-key texts of one Study share a single run of each
+// experiment.
 func (s *Study) HTMLReport(ctx context.Context) (string, error) {
-	return s.ComposeHTMLReport(s.Everything(ctx), s.SVGFigures())
-}
-
-// ComposeHTMLReport assembles the HTML report from parts already rendered:
-// the experiment texts in presentation order (as Everything returns them)
-// and the figures keyed by file name (as SVGFigures returns them). A caller
-// that renders the full artifact set anyway builds the report from it
-// without running any experiment a second time. Bytes equal HTMLReport's.
-func (s *Study) ComposeHTMLReport(texts []string, figs map[string]string) (string, error) {
+	texts, figs := s.Everything(ctx), s.SVGFigures()
 	type section struct {
 		Title string
 		Body  string

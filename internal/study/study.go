@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"github.com/schemaevo/schemaevo/internal/collect"
 	"github.com/schemaevo/schemaevo/internal/core"
@@ -43,6 +44,12 @@ type Study struct {
 	Measures []core.Measures
 	Analyses map[string]*history.Analysis
 	ByTaxon  map[core.Taxon][]core.Measures
+
+	// texts memoizes each experiment's rendered text by key (see
+	// Experiment.Render), so a Study renders every experiment once however
+	// many artifacts embed it. A Study must not be copied.
+	textsMu sync.Mutex
+	texts   map[string]string
 }
 
 // Options tunes pipeline execution without affecting its output.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/schemaevo/schemaevo/internal/core"
+	"github.com/schemaevo/schemaevo/internal/obs"
 	"github.com/schemaevo/schemaevo/internal/stats"
 )
 
@@ -323,10 +324,7 @@ func TestGranularityStability(t *testing.T) {
 	// profile; squashing within a day must leave the vast majority of
 	// projects in their taxon.
 	s := getStudy(t)
-	rows, err := s.Granularity(context.Background(), []time.Duration{0, 24 * time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := s.Granularity([]time.Duration{0, 24 * time.Hour})
 	if rows[0].Moved != 0 {
 		t.Errorf("zero-window squash moved %d projects", rows[0].Moved)
 	}
@@ -347,26 +345,97 @@ func TestExportCSV(t *testing.T) {
 	}
 }
 
-// ComposeHTMLReport over parts rendered one by one must equal HTMLReport
-// byte for byte — the serving layer builds report.html from the artifact set
-// it has just rendered, and the goldens and stored copies depend on it.
-func TestComposeHTMLReportMatchesHTMLReport(t *testing.T) {
-	s := getStudy(t)
-	ctx := context.Background()
-	want, err := s.HTMLReport(ctx)
+// experimentSpans counts the experiment runs a collecting tracer saw.
+func experimentSpans(tr *obs.Tracer) int {
+	n := 0
+	for _, r := range tr.Records() {
+		if strings.HasPrefix(r.Name, "experiment.") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestHTMLReportReusesRenderedTexts: concurrent renders of every experiment
+// on one Study agree, that Study's report.html then runs no experiment
+// again, and the memoized report equals one rendered on another Study —
+// the goldens and stored copies depend on those bytes.
+func TestHTMLReportReusesRenderedTexts(t *testing.T) {
+	s, err := New(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var texts []string
-	for _, e := range Experiments() {
-		texts = append(texts, e.Render(ctx, s))
+	tr := obs.NewTracer(obs.Options{Collect: true})
+	ctx := obs.WithTracer(context.Background(), tr)
+	keys := ExperimentKeys()
+	texts := make([][]string, 3)
+	var wg sync.WaitGroup
+	for w := range texts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, key := range keys {
+				text, _ := s.RunExperiment(ctx, key)
+				texts[w] = append(texts[w], text)
+			}
+		}()
 	}
-	got, err := s.ComposeHTMLReport(texts, s.SVGFigures())
+	wg.Wait()
+	for w := 1; w < len(texts); w++ {
+		for i, key := range keys {
+			if texts[w][i] != texts[0][i] {
+				t.Errorf("%s: concurrent renders disagree", key)
+			}
+		}
+	}
+	runs := experimentSpans(tr)
+	if runs < len(keys) || runs > len(texts)*len(keys) {
+		t.Fatalf("%d experiment runs for %d keys on %d goroutines", runs, len(keys), len(texts))
+	}
+	got, err := s.HTMLReport(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := experimentSpans(tr); again != runs {
+		t.Errorf("HTMLReport ran %d experiments again", again-runs)
+	}
+	want, err := getStudy(t).HTMLReport(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Error("ComposeHTMLReport bytes differ from HTMLReport")
+		t.Error("report.html from memoized texts differs from another Study's")
+	}
+}
+
+// TestCancelledRenderNotMemoized: a text rendered under a cancelled ctx may
+// be partial, so it is not memoized; the next render with a live ctx runs
+// the experiment and returns the full text, which is then memoized.
+func TestCancelledRenderNotMemoized(t *testing.T) {
+	var dialects Experiment
+	for _, e := range Experiments() {
+		if e.Key == "dialects" {
+			dialects = e
+		}
+	}
+	s := &Study{Seed: 1} // E27 builds its own sub-corpus from the seed
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	partial := dialects.Render(cancelled, s)
+	if !strings.Contains(partial, "cancelled") {
+		t.Fatalf("render under a cancelled ctx = %q", partial)
+	}
+	tr := obs.NewTracer(obs.Options{Collect: true})
+	live := obs.WithTracer(context.Background(), tr)
+	full := dialects.Render(live, s)
+	if full == partial || !strings.Contains(full, "postgres") {
+		t.Fatalf("live render after a cancelled one = %q", full)
+	}
+	if again := dialects.Render(live, s); again != full {
+		t.Error("memoized text differs from the live render")
+	}
+	if n := experimentSpans(tr); n != 1 {
+		t.Errorf("%d experiment runs under the live ctx, want 1", n)
 	}
 }
 
@@ -445,10 +514,7 @@ func TestSVGFigures(t *testing.T) {
 
 func TestForecastAccuracyImprovesWithHorizon(t *testing.T) {
 	s := getStudy(t)
-	rows, err := s.Forecast(context.Background(), []float64{0.25, 0.5, 1.0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := s.Forecast([]float64{0.25, 0.5, 1.0})
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
