@@ -10,7 +10,9 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"github.com/schemaevo/schemaevo/internal/gitstore"
 	"github.com/schemaevo/schemaevo/internal/ingest"
 	"github.com/schemaevo/schemaevo/internal/serve"
 	"github.com/schemaevo/schemaevo/internal/store"
@@ -319,5 +321,51 @@ func TestProxyRejectsForeignCursor(t *testing.T) {
 	}
 	if n := listings.Load(); n != 0 {
 		t.Errorf("%d backend listings fanned out for malformed cursors, want 0", n)
+	}
+}
+
+// TestGitRefUploadRejected: a JSON upload naming a repository path
+// ({"repo", "path"}) would have the daemon — or the proxy, which prepares
+// uploads itself — read a repository on its own host and serve its
+// contents back. Both answer 400 and no history is created.
+func TestGitRefUploadRejected(t *testing.T) {
+	dir := t.TempDir()
+	repo, err := gitstore.Init(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := gitstore.NewWorktree(repo, "master")
+	w.Set("schema.sql", []byte("CREATE TABLE secret (a INT);"))
+	if _, err := w.Commit("v0", gitstore.Signature{Name: "d", Email: "d@e", When: time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gitstore.Open(dir); err != nil {
+		t.Fatalf("fixture is not a readable repository: %v", err)
+	}
+	body, err := json.Marshal(map[string]string{"project": "p", "repo": dir, "path": "schema.sql"})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	b := memBackend(t)
+	_, ts := newTestProxy(t, 0, b.URL)
+	for _, target := range []*httptest.Server{b, ts} {
+		resp, raw := postJSON(t, target.URL+"/v1/histories", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s: status %d, want 400: %s", target.URL, resp.StatusCode, raw)
+		}
+	}
+	for _, target := range []*httptest.Server{b, ts} {
+		code, raw, _ := get(t, target, "/v1/histories")
+		var list struct {
+			Cached []string `json:"cached"`
+			Stored []string `json:"stored"`
+		}
+		if err := json.Unmarshal([]byte(raw), &list); code != http.StatusOK || err != nil {
+			t.Fatalf("GET %s/v1/histories: %d %v: %s", target.URL, code, err, raw)
+		}
+		if len(list.Cached)+len(list.Stored) != 0 {
+			t.Errorf("%s lists histories after a rejected upload: %s", target.URL, raw)
+		}
 	}
 }

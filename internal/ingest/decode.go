@@ -9,19 +9,17 @@ import (
 	"io"
 	"mime"
 	"path"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
 
-	"github.com/schemaevo/schemaevo/internal/gitstore"
 	"github.com/schemaevo/schemaevo/internal/history"
 )
 
 // Upload media types. Prepare dispatches on the Content-Type header's media
 // type (parameters like charset are ignored).
 const (
-	MediaJSON  = "application/json"  // version list or git-ref document
+	MediaJSON  = "application/json"  // version list document
 	MediaTar   = "application/x-tar" // archive of .sql dumps, one per version
 	MediaSQL   = "application/sql"   // single dump with version separators
 	MediaPlain = "text/plain"        // alias of application/sql
@@ -85,9 +83,9 @@ func mediaTypeOf(contentType string) string {
 	return strings.ToLower(strings.TrimSpace(media))
 }
 
-// jsonUpload is the application/json request document. Exactly one of
-// Versions (inline history) or Repo (local git repository reference,
-// resolved through internal/gitstore) must be set.
+// jsonUpload is the application/json request document: an inline history.
+// Unknown fields are rejected, so a document naming a server-side path to
+// read (the removed git-ref form, {"repo", "path"}) is a 400.
 type jsonUpload struct {
 	Project        string        `json:"project"`
 	Path           string        `json:"path"`
@@ -96,11 +94,6 @@ type jsonUpload struct {
 	ProjectStart   time.Time     `json:"project_start"`
 	ProjectEnd     time.Time     `json:"project_end"`
 	Versions       []jsonVersion `json:"versions"`
-
-	// Git-ref form: extract the history of Path from the repository at Repo
-	// (an on-disk path the daemon can read), walking HEAD or Branch.
-	Repo   string `json:"repo"`
-	Branch string `json:"branch"`
 }
 
 type jsonVersion struct {
@@ -115,19 +108,8 @@ func decodeJSON(body []byte) (*history.History, error) {
 	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("ingest: decode json upload: %w", err)
 	}
-	switch {
-	case doc.Repo != "" && len(doc.Versions) > 0:
-		return nil, errors.New("ingest: json upload sets both repo and versions; choose one")
-	case doc.Repo != "":
-		h, err := historyFromRepo(doc)
-		if err != nil {
-			return nil, err
-		}
-		// Dialect (optional) overrides auto-detection; validated in finish.
-		h.Dialect = doc.Dialect
-		return h, nil
-	case len(doc.Versions) == 0:
-		return nil, errors.New("ingest: json upload has no versions (and no repo reference)")
+	if len(doc.Versions) == 0 {
+		return nil, errors.New("ingest: json upload has no versions")
 	}
 	h := &history.History{
 		Project:        doc.Project,
@@ -141,26 +123,6 @@ func decodeJSON(body []byte) (*history.History, error) {
 		h.Versions = append(h.Versions, history.Version{ID: i, When: v.When, SQL: v.SQL})
 	}
 	return h, nil
-}
-
-// historyFromRepo resolves the git-ref form of a JSON upload against a
-// repository on the daemon's filesystem.
-func historyFromRepo(doc jsonUpload) (*history.History, error) {
-	if doc.Path == "" {
-		return nil, errors.New("ingest: git-ref upload needs path (the DDL file to walk)")
-	}
-	repo, err := gitstore.Open(doc.Repo)
-	if err != nil {
-		return nil, fmt.Errorf("ingest: open repo %s: %w", doc.Repo, err)
-	}
-	project := doc.Project
-	if project == "" {
-		project = filepath.Base(strings.TrimRight(doc.Repo, "/"))
-	}
-	if doc.Branch != "" {
-		return history.FromRepoBranch(repo, project, doc.Branch, doc.Path)
-	}
-	return history.FromRepo(repo, project, doc.Path)
 }
 
 // decodeTar reads an archive of SQL dumps: every regular *.sql entry is one

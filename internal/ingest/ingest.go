@@ -259,9 +259,10 @@ type Result struct {
 	Artifacts map[string][]byte
 }
 
-// Run executes the full pipeline on a prepared upload: filter, parse every
-// version, diff every transition, measure the heartbeat, classify the taxon
-// and the per-version compatibility levels, then render the artifact set.
+// Run executes the full pipeline on a prepared upload: parse every version
+// once, dropping those without DDL, diff every transition, measure the
+// heartbeat, classify the taxon and the per-version compatibility levels,
+// then render the artifact set.
 // Stages trace as ingest.* obs spans, so SSE watchers of the history's key
 // see progress live and the stage histograms pick up the new traffic class.
 func Run(ctx context.Context, u *Upload) (*Result, error) {
@@ -269,16 +270,14 @@ func Run(ctx context.Context, u *Upload) (*Result, error) {
 		obs.String("history", u.ID[:16]), obs.Int("versions", int64(len(u.History.Versions))))
 	defer span.End()
 
-	// Filter mutates the version slice, so run it on a copy: the upload's
+	// Filtering drops versions in place, so run it on a copy: the upload's
 	// canonical history (and its normalized bytes) must keep every version.
 	h := *u.History
 	h.Versions = append([]history.Version(nil), u.History.Versions...)
-	dropped := h.Filter()
+	a, dropped, err := history.AnalyzeFiltered(ctx, &h)
 	if len(h.Versions) == 0 {
 		return nil, ErrNoUsableVersions
 	}
-
-	a, err := history.AnalyzeContext(ctx, &h)
 	if err != nil {
 		return nil, fmt.Errorf("ingest: analyze: %w", err)
 	}

@@ -23,8 +23,8 @@ import (
 // requests against the same server also succeed.
 type spanRunner struct {
 	tb      testing.TB
-	spans   int          // top-level stages to emit (each with one child)
-	runs    atomic.Int64 // pipeline executions observed
+	spans   int           // top-level stages to emit (each with one child)
+	runs    atomic.Int64  // pipeline executions observed
 	started chan struct{} // closed when the first run begins, if non-nil
 	release chan struct{} // run blocks here before emitting, if non-nil
 }

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -38,6 +39,12 @@ type Disk struct {
 	// whose index row has not landed yet, or yank a blob out from under a
 	// reader mid-Get.
 	gate sync.RWMutex
+
+	// wmu serializes index writers (Put, Delete) so index.json is written
+	// outside mu: a Get needs mu only for its lookup and never waits on an
+	// index write's fsyncs. Taken before mu; GC holds gate exclusively
+	// instead.
+	wmu sync.Mutex
 
 	mu       sync.Mutex
 	entries  map[int64]*diskEntry
@@ -78,6 +85,10 @@ type diskEntry struct {
 	// ID carries Snapshot.ID for string-identified namespaces (ingested
 	// histories). Optional, so format-2 indexes without it stay valid.
 	ID string `json:"id,omitempty"`
+
+	// enc is the entry as it appears in index.json (see encodeIndex). An
+	// entry never changes once built, so it is encoded once.
+	enc []byte
 }
 
 // diskIndex is the serialized index file.
@@ -123,7 +134,7 @@ func Open(dir string) (*Disk, error) {
 		return d, nil
 	}
 	for _, e := range idx.Entries {
-		if !validEntry(e) {
+		if !validEntry(e) || e.encode() != nil {
 			d.skipped++
 			continue
 		}
@@ -280,13 +291,21 @@ func (d *Disk) Put(ctx context.Context, seed int64, snap *Snapshot) error {
 		savedAt = time.Now().UTC()
 	}
 
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.entries[seed] = &diskEntry{
+	e := &diskEntry{
 		Seed: seed, Version: SnapshotVersion, SavedAt: savedAt,
 		Summary: sumRef, Artifacts: refs, ID: snap.ID,
 	}
-	return d.writeIndexLocked()
+	if err := e.encode(); err != nil {
+		return fmt.Errorf("store: save seed %d: %w", seed, err)
+	}
+
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
+	d.mu.Lock()
+	d.entries[seed] = e
+	entries := d.sortedEntriesLocked()
+	d.mu.Unlock()
+	return d.writeIndex(entries)
 }
 
 // writeBlob stores b content-addressed and returns its reference. A blob
@@ -308,19 +327,58 @@ func (d *Disk) writeBlob(b []byte) (blobRef, error) {
 	return ref, nil
 }
 
-// writeIndexLocked atomically replaces index.json with the current entry
-// map, in seed order for deterministic bytes. Caller holds d.mu.
-func (d *Disk) writeIndexLocked() error {
-	idx := diskIndex{Version: indexFormat, Entries: make([]*diskEntry, 0, len(d.entries))}
-	for _, e := range d.entries {
-		idx.Entries = append(idx.Entries, e)
-	}
-	sort.Slice(idx.Entries, func(i, j int) bool { return idx.Entries[i].Seed < idx.Entries[j].Seed })
-	data, err := json.MarshalIndent(idx, "", "  ")
+// encode caches the entry's index.json encoding: json.MarshalIndent at
+// the depth encodeIndex places it.
+func (e *diskEntry) encode() error {
+	enc, err := json.MarshalIndent(e, "    ", "  ")
 	if err != nil {
-		return fmt.Errorf("store: marshal index: %w", err)
+		return fmt.Errorf("store: marshal index entry %d: %w", e.Seed, err)
 	}
-	return atomicWrite(d.dir, filepath.Join(d.dir, indexFile), append(data, '\n'))
+	e.enc = enc
+	return nil
+}
+
+// sortedEntriesLocked returns the entries in seed order, the order of
+// index.json. Caller holds d.mu.
+func (d *Disk) sortedEntriesLocked() []*diskEntry {
+	out := make([]*diskEntry, 0, len(d.entries))
+	for _, e := range d.entries {
+		out = append(out, e)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Seed < out[j].Seed })
+	return out
+}
+
+// encodeIndex assembles index.json from the entries' cached encodings
+// without re-marshalling any of them. The bytes equal
+// json.MarshalIndent(diskIndex{indexFormat, entries}, "", "  ") plus a
+// trailing newline.
+func encodeIndex(entries []*diskEntry) []byte {
+	n := 64
+	for _, e := range entries {
+		n += len(e.enc) + 6
+	}
+	b := make([]byte, 0, n)
+	b = append(b, "{\n  \"version\": "...)
+	b = strconv.AppendInt(b, indexFormat, 10)
+	b = append(b, ",\n  \"entries\": ["...)
+	for i, e := range entries {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n    "...)
+		b = append(b, e.enc...)
+	}
+	if len(entries) > 0 {
+		b = append(b, "\n  "...)
+	}
+	return append(b, "]\n}\n"...)
+}
+
+// writeIndex atomically replaces index.json with the given entries, which
+// are in seed order. Callers serialize on wmu (or hold gate exclusively).
+func (d *Disk) writeIndex(entries []*diskEntry) error {
+	return atomicWrite(d.dir, filepath.Join(d.dir, indexFile), encodeIndex(entries))
 }
 
 // atomicWrite lands content at path via a temp file in dir plus rename, so
@@ -370,19 +428,27 @@ func syncDir(dir string) error {
 func (d *Disk) Delete(_ context.Context, seed int64) error {
 	d.gate.RLock()
 	defer d.gate.RUnlock()
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	e, ok := d.entries[seed]
 	if !ok {
+		d.mu.Unlock()
 		return nil
 	}
 	delete(d.entries, seed)
-	if err := d.writeIndexLocked(); err != nil {
+	entries := d.sortedEntriesLocked()
+	d.mu.Unlock()
+	if err := d.writeIndex(entries); err != nil {
+		d.mu.Lock()
 		d.entries[seed] = e // keep index and memory consistent
+		d.mu.Unlock()
 		return err
 	}
 	// Sweep the deleted entry's blobs unless still referenced elsewhere.
+	d.mu.Lock()
 	live := d.liveBlobsLocked()
+	d.mu.Unlock()
 	remove := func(ref blobRef) {
 		if !live[ref.SHA256] {
 			os.Remove(filepath.Join(d.dir, objectsDir, ref.SHA256))

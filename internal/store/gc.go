@@ -81,7 +81,7 @@ func (d *Disk) GC(ctx context.Context, policy GCPolicy) (GCResult, error) {
 		for _, e := range victims {
 			delete(d.entries, e.Seed)
 		}
-		if err := d.writeIndexLocked(); err != nil {
+		if err := d.writeIndex(d.sortedEntriesLocked()); err != nil {
 			for _, e := range victims { // keep index and memory consistent
 				d.entries[e.Seed] = e
 			}

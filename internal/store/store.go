@@ -86,10 +86,10 @@ func (e *CorruptError) Is(target error) bool { return target == ErrCorrupt }
 // discarded. It is the zero-configuration default of the serving layer.
 type Nop struct{}
 
-func (Nop) Get(context.Context, int64) (*Snapshot, error)  { return nil, ErrNotFound }
-func (Nop) Put(context.Context, int64, *Snapshot) error    { return nil }
-func (Nop) Delete(context.Context, int64) error            { return nil }
-func (Nop) List(context.Context) ([]int64, error)          { return nil, nil }
+func (Nop) Get(context.Context, int64) (*Snapshot, error) { return nil, ErrNotFound }
+func (Nop) Put(context.Context, int64, *Snapshot) error   { return nil }
+func (Nop) Delete(context.Context, int64) error           { return nil }
+func (Nop) List(context.Context) ([]int64, error)         { return nil, nil }
 
 // Mem is a map-backed in-memory store — durable for the life of the process
 // only. It is the test double of choice for the serving layer's read-through
